@@ -2,12 +2,12 @@
 
 Exact evaluation of truncated multiple harmonic sums and their polynomial
 analogues mod p, the shuffle and stuffle word algebras on indices, the
-descent-classified expansion of variant zeta values, and and the explicit
+descent-classified expansion of variant zeta values, and the explicit
 correction expressions that witness the shuffle congruence, verified per
 prime over configurable sweeps.
 """
 
-from .modular import ModPoly, PrimeField, is_prime, mod_inverse, primes_in_range, xgcd
+from .modular import ModPoly, is_prime, mod_inverse, primes_in_range
 from .words import (
     EMPTY,
     FormalSum,

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from .identities import shuffle_correction
 from .evaluate import eval_fmp, eval_fmp_triple, eval_zeta, eval_zeta_variant
 from .modular import is_prime
+from .surjections import MAX_R
 from .sweep import CHECKS, SweepInterrupted, SweepReport, run_sweep
 from .words import Index, shuffle, stuffle
 
@@ -124,23 +125,31 @@ def _resolve_jobs(args: argparse.Namespace) -> int:
     return os.cpu_count() or 1
 
 
+def _check_product_depth(l: Index, r: Index) -> None:
+    """The correction expression expands variants of depth up to dep(l) + dep(r) - 1."""
+    if l.depth + r.depth > MAX_R + 1:
+        raise ValueError(f"dep(l) + dep(r) = {l.depth + r.depth} exceeds the supported maximum {MAX_R + 1}")
+
+
 def _verify_params(args: argparse.Namespace) -> dict:
     check = args.check
     if check == "eq7":
         if not args.L or not args.M:
             raise ValueError("eq7 requires nonempty -L and -M")
         return {"L": args.L, "M": args.M, "N": args.N}
+    if check == "main":
+        _check_product_depth(args.l, args.r)
     if check in ("main", "stuffle"):
         return {"l": args.l, "r": args.r}
     if check == "prop24":
         if not 1 <= args.i <= args.k.depth:
             raise ValueError(f"-i {args.i} outside [1, dep(k)={args.k.depth}]")
+        if args.k.depth > MAX_R:
+            raise ValueError(f"dep(k) = {args.k.depth} exceeds the supported maximum {MAX_R}")
         return {"i": args.i, "k": args.k}
     if check == "pfd":
         return {"alpha": args.alpha, "beta": args.beta}
     if check == "bijection":
-        from .surjections import MAX_R
-
         if args.r > MAX_R:
             raise ValueError(f"-r {args.r} exceeds the supported maximum {MAX_R}")
         return {"r": args.r}
@@ -194,12 +203,16 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_product(args: argparse.Namespace) -> int:
+def _cmd_product(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.kind == "shuffle":
         print(shuffle(args.l, args.r))
     elif args.kind == "stuffle":
         print(stuffle(args.l, args.r))
     else:
+        try:
+            _check_product_depth(args.l, args.r)
+        except ValueError as exc:
+            parser.error(str(exc))
         expr = shuffle_correction(args.l, args.r)
         impure = expr.impure_terms()
         print(f"pure: {expr.pure_part()}")
@@ -232,7 +245,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "eval":
         return _cmd_eval(args, parser)
     if args.command == "product":
-        return _cmd_product(args)
+        return _cmd_product(args, parser)
     return _cmd_verify(args, parser)
 
 

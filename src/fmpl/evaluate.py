@@ -11,10 +11,14 @@ Three families are evaluated exactly in F_p:
       f_j(n) = inv(n)^{k_j} * sum_{0 < n - n' < p} f_{j-1}(n'),
   realized as a sliding prefix sum, O(dep^2 * p) per prime.
 * the triple-block li(lam, mu, nu; T): the lam- and mu-tables are convolved
-  into weights w(s) over the exact value s of the combined sum; the third
-  block's denominators depend on s only through s mod p while the exponent
-  of T needs exact s, so per-residue tables are built for all residues at
-  once and attached shift-by-shift.
+  into weights w(s) over the exact value s of the combined sum, and that
+  table is advanced through nu's parts by the same window transition, so
+  the third block's denominators (s + N_z) mod p and the exact exponent of
+  T both fall out of the stage index; O((dep lam + dep mu + dep nu) * p)
+  memory.
+
+One window-step routine serves all three families; zeta keeps its tables
+at length p, since its partial sums stay below p.
 
 All arithmetic is exact int64 modular arithmetic; the naive brute-force
 oracles at the bottom recompute small cases by literal nested loops.
@@ -54,13 +58,39 @@ def _inv_powers(p: int, k: int) -> np.ndarray:
     return out
 
 
+def _window_step(prev: np.ndarray, p: int, k: int, length: int) -> np.ndarray:
+    """out[n] = inv(n)^k * sum_{0 < n - n' < p} prev[n'] mod p, for 0 <= n < length.
+
+    The window sums are the running sums of d[n] = prev[n - 1] - prev[n - p]
+    (prev read as 0 outside its range), so a table shorter than the window,
+    such as the start table [1], still feeds every 0 < n < p.  The output
+    is shaped as rows of p so that the inverse powers apply row by row.
+
+    int64 bound: prev's entries lie in [0, p), as in every table built
+    here.  A plain prefix sum of prev would reach len(prev) * (p - 1); each
+    running sum of d is one window of at most p - 1 entries, so < (p - 1)^2,
+    and a reduced window times an inverse power is < p^2.  Both are < 2^62
+    for p < MAX_PRIME = 2^31 at any length, so every table built here stays
+    exact.
+    """
+    rows = -(-length // p)
+    d = np.zeros(rows * p, dtype=np.int64)
+    d[1 : len(prev) + 1] = prev[: len(d) - 1]
+    d[p : p + len(prev)] -= prev[: len(d) - p]
+    grid = d.cumsum().reshape(rows, p) % p
+    grid *= _inv_powers(p, k)
+    grid %= p
+    return grid.ravel()[:length]
+
+
 @dataclass(frozen=True)
 class PartialSumTable:
     """Distribution of a stage's exact partial-sum value over F_p.
 
-    values[n] holds the stage-j table entry f_j(n); entries at n divisible
-    by p are zero (excluded denominators) and the support lies in
-    [stage, stage*(p-1)].
+    values[n] holds the stage-j table entry f_j(n), with support in
+    [stage, stage*(p-1)].  Tables produced by `advanced` are zero at every
+    n divisible by p (excluded denominators); a start table, such as the
+    convolved weights of the three-block sum, need not be.
     """
 
     p: int
@@ -69,13 +99,8 @@ class PartialSumTable:
 
     def advanced(self, k_next: int) -> "PartialSumTable":
         """Append one summand 0 < l < p and divide by the new sum's power."""
-        p, prev = self.p, self.values
-        new_len = (self.stage + 1) * (p - 1) + 1
-        pref = np.zeros(len(prev) + 1, dtype=np.int64)
-        np.cumsum(prev, out=pref[1:])
-        n = np.arange(new_len)
-        win = pref[np.minimum(n, len(prev))] - pref[np.clip(n - p + 1, 0, len(prev))]
-        vals = win % p * _inv_powers(p, k_next)[n % p] % p
+        p = self.p
+        vals = _window_step(self.values, p, k_next, (self.stage + 1) * (p - 1) + 1)
         vals.flags.writeable = False
         return PartialSumTable(p, self.stage + 1, vals)
 
@@ -101,9 +126,7 @@ def eval_zeta(k: Index, p: int) -> int:
         return 1
     vals = _inv_powers(p, k[0])
     for kj in k[1:]:
-        pref = np.zeros(p, dtype=np.int64)
-        np.cumsum(vals[:-1], out=pref[1:])
-        vals = pref % p * _inv_powers(p, kj) % p
+        vals = _window_step(vals, p, kj, p)
     return int(vals.sum() % p)
 
 
@@ -133,27 +156,6 @@ def eval_zeta_variant(i: int, k: Index, p: int) -> int:
     return int(vals[(i - 1) * p + 1 : i * p].sum() % p)
 
 
-def _psi_tables(nu: Index, p: int) -> np.ndarray:
-    """Third-block tables for all residues at once.
-
-    Row rho gives, indexed by the exact value u of the block's last partial
-    sum, the sum of 1 / prod((rho + N_z) mod p)^{nu_z} over tuples with all
-    those denominators nonzero mod p.
-    """
-    c = nu.depth
-    rho = np.arange(p)[:, None]
-    psi = _inv_powers(p, nu[0])[(rho + np.arange(p)[None, :]) % p].copy()
-    psi[:, 0] = 0
-    for z in range(1, c):
-        new_len = (z + 1) * (p - 1) + 1
-        pref = np.zeros((p, psi.shape[1] + 1), dtype=np.int64)
-        np.cumsum(psi, axis=1, out=pref[:, 1:])
-        n = np.arange(new_len)
-        win = pref[:, np.minimum(n, psi.shape[1])] - pref[:, np.clip(n - p + 1, 0, psi.shape[1])]
-        psi = win % p * _inv_powers(p, nu[z])[(rho + n[None, :]) % p] % p
-    return psi
-
-
 @lru_cache(maxsize=1024)
 def eval_fmp_triple(lam: Index, mu: Index, nu: Index, p: int) -> ModPoly:
     """The three-block polynomial interpolating between li and a product.
@@ -169,14 +171,10 @@ def eval_fmp_triple(lam: Index, mu: Index, nu: Index, p: int) -> ModPoly:
     fb = _final_table(mu, p) if mu.depth else one
     if min(len(fa), len(fb)) * (p - 1) ** 2 >= (1 << 62):
         raise OverflowError("convolution would overflow 64-bit intermediates")
-    w = np.convolve(fa, fb) % p
-    if nu.depth == 0:
-        return ModPoly(p, w)
-    psi = _psi_tables(nu, p)
-    out = np.zeros(len(w) + psi.shape[1] - 1, dtype=np.int64)
-    for s in np.nonzero(w)[0]:
-        out[s : s + psi.shape[1]] += w[s] * psi[s % p]
-    return ModPoly(p, out)
+    table = PartialSumTable(p, lam.depth + mu.depth, np.convolve(fa, fb) % p)
+    for kz in nu.parts:
+        table = table.advanced(kz)
+    return ModPoly(p, table.values)
 
 
 def _check_brute_domain(depth: int, p: int) -> None:

@@ -7,7 +7,6 @@ after construction, so they can be shared freely across sweep workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
 
@@ -57,32 +56,16 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [n for n in range(max(lo, 2), hi + 1) if sieve[n]]
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with u*a + v*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    return old_r, old_u, old_v
-
-
 def mod_inverse(a: int, p: int) -> int:
-    """Inverse of a modulo p via extended Euclid.
+    """Inverse of a modulo p.
 
     Raises ZeroDivisionError for a divisible by p; upstream this signals a
     summand excluded by the coprime-denominator restriction.
     """
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError(f"non-invertible residue 0 mod {p}")
-    g, u, _ = xgcd(a, p)
-    if g != 1:
-        raise ZeroDivisionError(f"non-invertible residue {a} mod {p}")
-    return u % p
+    try:
+        return pow(a, -1, p)
+    except ValueError:
+        raise ZeroDivisionError(f"non-invertible residue {a % p} mod {p}") from None
 
 
 @lru_cache(maxsize=256)
@@ -95,42 +78,6 @@ def inverse_table(p: int) -> np.ndarray:
         inv[a] = (p - (p // a) * inv[p % a]) % p
     inv.flags.writeable = False
     return inv
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """The field F_p with elements represented as ints in [0, p-1]."""
-
-    p: int
-
-    def __post_init__(self):
-        if not (2 <= self.p < MAX_PRIME):
-            raise ValueError(f"modulus {self.p} out of supported range [2, 2^31)")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-
-    def element(self, n: int) -> int:
-        return n % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def inv(self, a: int) -> int:
-        return mod_inverse(a, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(mod_inverse(a, self.p), -e, self.p)
-        return pow(a % self.p, e, self.p)
 
 
 def ensure_prime(p: int) -> None:

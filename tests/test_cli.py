@@ -108,6 +108,27 @@ def test_verify_eq7_requires_nonempty_blocks(capsys):
     assert exc.value.code == 2
 
 
+def test_product_correction_too_deep_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["product", "correction", "-l", "1,1,1,1,1", "-r", "1,1,1,1,1"])
+    assert exc.value.code == 2
+    assert "exceeds the supported maximum" in capsys.readouterr().err
+
+
+def test_verify_main_too_deep_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "main", "-l", "1,1,1,1,1", "-r", "1,1,1,1,1", "--primes", "5..7", "--jobs", "1"])
+    assert exc.value.code == 2
+    assert "exceeds the supported maximum" in capsys.readouterr().err
+
+
+def test_verify_prop24_too_deep_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "prop24", "-i", "1", "-k", "1,1,1,1,1,1,1,1,1", "--primes", "5..7", "--jobs", "1"])
+    assert exc.value.code == 2
+    assert "exceeds the supported maximum" in capsys.readouterr().err
+
+
 def test_verify_bijection_detail_lines(capsys):
     code, out, _ = run_cli(capsys, "verify", "bijection", "-r", "2", "--primes", "5..13")
     assert code == 0

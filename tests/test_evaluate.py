@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,7 +68,7 @@ def test_partial_sum_table_invariants():
 def test_eval_zeta_variant_examples():
     assert eval_zeta_variant(2, I(1, 1), 5) == 0
     for k in (I(1), I(2, 1), I(1, 1, 2)):
-        for p in (5, 7, 11, 13):
+        for p in (5, 7, 11, 13, 1009):
             assert eval_zeta_variant(1, k, p) == eval_zeta(k, p)
             reversed_sign = (-1) ** k.weight * eval_zeta(k, p) % p
             assert eval_zeta_variant(k.depth, k, p) == reversed_sign
@@ -81,7 +83,7 @@ def test_eval_zeta_variant_argument_errors():
 
 def test_eval_fmp_triple_reductions():
     lam, nu = I(2, 1), I(1)
-    for p in (5, 7, 11):
+    for p in (5, 7, 11, 1009):
         li_lam = eval_fmp(lam, p)
         assert eval_fmp_triple(lam, EMPTY, EMPTY, p) == li_lam
         assert eval_fmp_triple(EMPTY, lam, EMPTY, p) == li_lam
@@ -93,6 +95,20 @@ def test_eval_fmp_triple_reductions():
 
 def test_eval_fmp_triple_example():
     assert eval_fmp_triple(I(1), I(1), EMPTY, 3) == ModPoly(3, [0, 0, 1, 1, 1])
+
+
+def test_eval_fmp_triple_memory_is_linear_in_p():
+    # the third block is the staged table advanced through nu: O(dep * p),
+    # where a table per residue of s would hold p * p entries (over 750 MiB)
+    p = 10007
+    eval_fmp_triple.cache_clear()
+    tracemalloc.start()
+    try:
+        eval_fmp_triple(I(1), I(1), I(1), p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_brute_force_domain_caps():

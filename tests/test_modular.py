@@ -4,14 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fmpl.modular import (
-    MAX_PRIME,
     ModPoly,
-    PrimeField,
     inverse_table,
     is_prime,
     mod_inverse,
     primes_in_range,
-    xgcd,
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 101]
@@ -27,11 +24,6 @@ def test_primes_in_range():
     assert primes_in_range(5, 20) == [5, 7, 11, 13, 17, 19]
     assert primes_in_range(8, 10) == []
     assert primes_in_range(2, 2) == [2]
-
-
-def test_xgcd():
-    g, u, v = xgcd(240, 46)
-    assert g == 2 and u * 240 + v * 46 == 2
 
 
 def test_mod_inverse_examples():
@@ -60,25 +52,6 @@ def test_inverse_table_matches_scalar(p):
     table = inverse_table(p)
     assert table[0] == 0
     assert all(table[a] == mod_inverse(a, p) for a in range(1, p))
-
-
-def test_prime_field_rejects_composites():
-    for bad in (0, 1, 4, 9, 15):
-        with pytest.raises(ValueError):
-            PrimeField(bad)
-    with pytest.raises(ValueError):
-        PrimeField(MAX_PRIME + 11)
-
-
-def test_prime_field_ops():
-    F = PrimeField(7)
-    assert F.add(5, 4) == 2
-    assert F.sub(2, 5) == 4
-    assert F.mul(3, 5) == 1
-    assert F.neg(3) == 4
-    assert F.inv(4) == 2
-    assert F.pow(3, -1) == 5
-    assert F.element(-1) == 6
 
 
 def test_poly_trailing_zeros_trimmed():
