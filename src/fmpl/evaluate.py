@@ -10,18 +10,21 @@ Three families are evaluated exactly in F_p:
   [j, j(p-1)]), with the window transition
       f_j(n) = inv(n)^{k_j} * sum_{0 < n - n' < p} f_{j-1}(n'),
   realized as a sliding prefix sum, O(dep^2 * p) per prime.
-* the triple-block li(lam, mu, nu; T): the lam- and mu-tables are convolved
-  into weights w(s) over the exact value s of the combined sum, and that
-  table is advanced through nu's parts by the same window transition, so
-  the third block's denominators (s + N_z) mod p and the exact exponent of
-  T both fall out of the stage index; O((dep lam + dep mu + dep nu) * p)
-  memory.
+* the triple-block li(lam, mu, nu; T): the lam- and mu-tables are
+  multiplied as polynomials (modular.mul_mod) into weights w(s) over the
+  exact value s of the combined sum, and that table is advanced through
+  nu's parts by the same window transition, so the third block's
+  denominators (s + N_z) mod p and the exact exponent of T both fall out
+  of the stage index; O((dep lam + dep mu + dep nu) * p) memory, and
+  O(p log p) time for the weights.
 
 One window-step routine serves all three families; zeta keeps its tables
 at length p, since its partial sums stay below p.
 
-All arithmetic is exact int64 modular arithmetic; the naive brute-force
-oracles at the bottom recompute small cases by literal nested loops.
+All arithmetic is exact: int64 modular arithmetic, plus mul_mod's product,
+which is exact at every p < MAX_PRIME and every length.  The naive
+brute-force oracles at the bottom recompute small cases by literal nested
+loops.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from itertools import product
 
 import numpy as np
 
-from .modular import ModPoly, ensure_prime, inverse_table
+from .modular import ModPoly, ensure_prime, inverse_table, mul_mod
 from .words import Index
 
 BRUTE_FORCE_MAX_DEPTH = 4
@@ -163,15 +166,15 @@ def eval_fmp_triple(lam: Index, mu: Index, nu: Index, p: int) -> ModPoly:
     The sum runs over 0 < l_x, m_y, n_z < p; the excluded denominators are
     exactly the displayed factors (every L_x, every M_y, and every
     L_a + M_b + N_z), so the intermediate value L_a + M_b itself may be
-    divisible by p.  The monomial exponent is the exact total sum.
+    divisible by p.  The monomial exponent is the exact total sum.  The
+    weights over L_a + M_b are the product of the lam- and mu-tables, by
+    mul_mod.
     """
     ensure_prime(p)
     one = np.ones(1, dtype=np.int64)
     fa = _final_table(lam, p) if lam.depth else one
     fb = _final_table(mu, p) if mu.depth else one
-    if min(len(fa), len(fb)) * (p - 1) ** 2 >= (1 << 62):
-        raise OverflowError("convolution would overflow 64-bit intermediates")
-    table = PartialSumTable(p, lam.depth + mu.depth, np.convolve(fa, fb) % p)
+    table = PartialSumTable(p, lam.depth + mu.depth, mul_mod(fa, fb, p))
     for kz in nu.parts:
         table = table.advanced(kz)
     return ModPoly(p, table.values)

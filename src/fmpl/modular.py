@@ -3,6 +3,10 @@
 Field elements are plain ints in ``[0, p-1]``; polynomials store a dense
 int64 coefficient array indexed by exponent.  All values are immutable
 after construction, so they can be shared freely across sweep workers.
+Every polynomial product goes through `mul_mod`, which is exact for every
+p < MAX_PRIME and every length: short products run ``np.convolve``, long
+ones a floating-point FFT on 11-bit limbs whose rounding error is bounded
+below 1/2.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ MAX_PRIME = 1 << 31
 _MR_BASES = (2, 3, 5, 7)  # deterministic for n < 3_215_031_751 > 2^31
 
 
+@lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2^31."""
     if n < 2:
@@ -83,6 +88,74 @@ def inverse_table(p: int) -> np.ndarray:
 def ensure_prime(p: int) -> None:
     if not (2 <= p < MAX_PRIME) or not is_prime(p):
         raise ValueError(f"{p} is not a prime in the supported range")
+
+
+LIMB_BITS = 11
+# Shorter factor from which the FFT path beats np.convolve.  The direct cost
+# is len_a * len_b multiply-adds, the FFT's grows with the padded length, so
+# their ratio follows the shorter factor.  Measured with numpy 2.4 on a
+# 2-core x86-64 machine, direct vs FFT: one limb (p = 1999), 256 x 256 in
+# 0.068 vs 0.073 ms and 384 x 384 in 0.158 vs 0.092 ms; two limbs
+# (p = 4999), 128 x 5000 in 0.66 vs 1.17 ms, 256 x 5000 in 1.30 vs 1.17 ms
+# and 512 x 512 in 0.27 vs 0.24 ms.
+FFT_MIN_LEN = 256
+# Longest factor the FFT path may take; derived in mul_mod's docstring.
+FFT_MAX_LEN = (1 << 29) // (13 * 22 + 3)
+
+
+def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The product of two coefficient arrays with entries in [0, p), mod p.
+
+    Each input is split into L = ceil(bitlen(p - 1) / 11) limbs below 2^11
+    (one for p - 1 < 2^11, two for p - 1 < 2^22, three up to 2^31), the
+    2L - 1 limb-pair sums c_s = sum_{i + j = s} a_i * b_j are formed
+    exactly, and the result is sum_s (c_s mod p) * (2^(11 s) mod p) mod p.
+    Products with a factor shorter than FFT_MIN_LEN skip the split and take
+    np.convolve on the whole coefficients while min(len) * (p - 1)^2 < 2^62
+    keeps it inside int64.  Longer ones form c_s with np.fft: rfft of every
+    limb, padded to n = 2^k, the pair products summed per s, one irfft per
+    s, rounded.
+
+    Float-error bound: for real x, y zero-padded to n = 2^k, a
+    double-precision FFT convolution with twiddle factors correct to the
+    unit roundoff eps = 2^-53 errs in each output by less than
+    ||x||_2 ||y||_2 ((1 + eps)^3k (1 + eps sqrt 5)^(3k + 1) (1 + eps)^3k - 1)
+    (Percival, Math. Comp. 72 (2003); Brent and Zimmermann, Modern Computer
+    Arithmetic, section 3.3), which is below ||x||_2 ||y||_2 eps (13 k + 3).
+    Limbs lie in [0, 2^11), and at three limbs the top one is below 2^9, so
+    with both lengths at most m the pairs of one c_s have norm products
+    summing to at most 2 m (2^11 - 1)^2 < 2^23 m.  Rounding is exact while
+    2^23 m eps (13 k + 3) < 1/2, i.e. m (13 k + 3) < 2^29.  For m < 2^21
+    the padded length is at most 2^22, so k <= 22, and every
+    m <= FFT_MAX_LEN = 2^29 // 289 = 1,857,684 is exact.  Longer products
+    take the same limb split through np.convolve, whose int64 sums stay
+    below 3 min(len) 2^22.  At m = FFT_MAX_LEN on all-(p - 1) inputs the
+    largest distance to an integer before rounding was 0.012 at
+    p = 2^31 - 1 and 0.010 at p = 2^22 - 3.
+    """
+    la, lb = len(a), len(b)
+    if min(la, lb) < FFT_MIN_LEN and min(la, lb) * (p - 1) ** 2 < 1 << 62:
+        return np.convolve(a, b) % p
+    limbs = -(-(p - 1).bit_length() // LIMB_BITS)
+    mask = (1 << LIMB_BITS) - 1
+    a_limbs = [a >> (LIMB_BITS * i) & mask for i in range(limbs)]
+    b_limbs = [b >> (LIMB_BITS * i) & mask for i in range(limbs)]
+    length = la + lb - 1
+    fft = min(la, lb) >= FFT_MIN_LEN and max(la, lb) <= FFT_MAX_LEN
+    if fft:
+        n = 1 << (length - 1).bit_length()
+        a_limbs = [np.fft.rfft(x, n) for x in a_limbs]
+        b_limbs = [np.fft.rfft(x, n) for x in b_limbs]
+    pair_product = np.multiply if fft else np.convolve
+    out = np.zeros(length, dtype=np.int64)
+    for s in range(2 * limbs - 1):
+        pairs = range(max(0, s - limbs + 1), min(s, limbs - 1) + 1)
+        c = sum(pair_product(a_limbs[i], b_limbs[s - i]) for i in pairs)
+        if fft:
+            c = np.rint(np.fft.irfft(c, n)[:length]).astype(np.int64)
+        out += c % p * pow(2, LIMB_BITS * s, p)
+        out %= p
+    return out
 
 
 class ModPoly:
@@ -160,11 +233,7 @@ class ModPoly:
         self._require_same_modulus(other)
         if not self or not other:
             return ModPoly.zero(self.p)
-        # int64 convolution is exact while n_terms * (p-1)^2 < 2^63
-        n_terms = min(len(self.coeffs), len(other.coeffs))
-        if n_terms * (self.p - 1) ** 2 >= (1 << 62):
-            raise OverflowError("convolution would overflow 64-bit intermediates")
-        return ModPoly(self.p, np.convolve(self.coeffs, other.coeffs))
+        return ModPoly(self.p, mul_mod(self.coeffs, other.coeffs, self.p))
 
     def scaled(self, c: int) -> "ModPoly":
         return ModPoly(self.p, self.coeffs * (c % self.p))

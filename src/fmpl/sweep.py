@@ -3,8 +3,10 @@
 A sweep runs one named check with fixed parameters over every prime in an
 inclusive range.  Workers receive immutable (check, params, prime) task
 descriptors; results are merged into a report ordered by prime.  A prime
-where a rational coefficient loses meaning is recorded as a skip, never
-silently dropped, so a sweep verdict is always "pass with exception set".
+where a rational coefficient loses meaning, or one outside the domain where
+the check's identity is claimed, is recorded as a skip with its reason,
+never silently dropped, so a sweep verdict is always "pass with exception
+set".
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ from .surjections import bijection_roundtrip
 from .words import Index
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
+
+
+class OutsideDomainError(ValueError):
+    """The prime lies outside the range where the check's identity is claimed."""
 
 
 @dataclass(frozen=True)
@@ -123,7 +129,10 @@ def _check_reversal(params: dict, p: int) -> CheckResult:
 
 
 def _check_li_at_one(params: dict, p: int) -> CheckResult:
-    return verify_li_at_one(params["k"], p)
+    k = params["k"]
+    if p <= k.weight + k.depth:
+        raise OutsideDomainError(f"outside the domain p > wt(k) + dep(k) = {k.weight + k.depth}")
+    return verify_li_at_one(k, p)
 
 
 CHECKS: dict[str, Callable[[dict, int], CheckResult]] = {
@@ -147,10 +156,10 @@ def echo_params(params: dict) -> dict[str, str]:
 
 
 def run_one(check: str, params: dict, p: int) -> PrimeOutcome:
-    """Execute one (check, prime) task; exceptional primes become skips."""
+    """Execute one (check, prime) task; exceptional and out-of-domain primes become skips."""
     try:
         result = CHECKS[check](params, p)
-    except ExceptionalPrimeError as exc:
+    except (ExceptionalPrimeError, OutsideDomainError) as exc:
         return PrimeOutcome(p, SKIP, str(exc))
     if result.ok:
         return PrimeOutcome(p, PASS, result.detail)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from fmpl import sweep
 from fmpl.cli import main
+from fmpl.identities import CheckResult
 
 
 def run_cli(capsys, *argv):
@@ -83,11 +85,19 @@ def test_verify_main_exit_zero(capsys):
     assert "pass=1 fail=0 skip=0" in out
 
 
-def test_verify_failure_exit_one(capsys):
-    code, out, err = run_cli(capsys, "verify", "li-at-1", "-k", "1", "--primes", "2..2")
+def test_verify_failure_exit_one(capsys, monkeypatch):
+    monkeypatch.setattr(sweep, "verify_li_at_one", lambda k, p: CheckResult(False, "li(1) = 1"))
+    code, out, err = run_cli(capsys, "verify", "li-at-1", "-k", "1", "--primes", "5..5")
     assert code == 1
     assert "fail=1" in out
     assert "li(1) = 1" in err
+
+
+def test_verify_li_at_one_skips_outside_domain(capsys):
+    code, out, err = run_cli(capsys, "verify", "li-at-1", "-k", "1", "--primes", "2..7", "--jobs", "1")
+    assert code == 0
+    assert "pass=3 fail=0 skip=1" in out
+    assert "p=2: skip outside the domain p > wt(k) + dep(k) = 2" in err
 
 
 def test_verify_unknown_check_usage_error(capsys):

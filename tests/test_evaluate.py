@@ -1,10 +1,13 @@
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
 from helpers import indices_up_to, index_triples_up_to
+from fmpl import modular
 from fmpl.evaluate import (
+    PartialSumTable,
     brute_force_fmp,
     brute_force_fmp_triple,
     brute_force_zeta_variant,
@@ -36,6 +39,22 @@ def test_eval_zeta_empty_range():
 def test_eval_zeta_rejects_composite_modulus():
     with pytest.raises(ValueError):
         eval_zeta(I(1), 6)
+
+
+@pytest.mark.parametrize("n", (4, 6, 561))
+def test_evaluators_reject_composite_modulus_on_every_call(n):
+    # the primality result is cached; a cached "no" must still raise
+    calls = (
+        lambda: eval_zeta(I(1), n),
+        lambda: eval_fmp(I(1), n),
+        lambda: eval_zeta_variant(1, I(1), n),
+        lambda: eval_fmp_triple(I(1), I(1), I(1), n),
+        lambda: partial_sum_table(I(1), n),
+    )
+    for _ in range(2):
+        for call in calls:
+            with pytest.raises(ValueError, match="not a prime"):
+                call()
 
 
 def test_eval_fmp_examples():
@@ -145,3 +164,38 @@ def test_oracle_equivalence_triple(p):
         if lam.depth + mu.depth + nu.depth > 4:
             continue
         assert eval_fmp_triple(lam, mu, nu, p) == brute_force_fmp_triple(lam, mu, nu, p), (lam, mu, nu, p)
+
+
+def _triple_with_convolve_weights(lam, mu, nu, p):
+    """The three-block polynomial with np.convolve weights, as before mul_mod."""
+    one = np.ones(1, dtype=np.int64)
+    fa = partial_sum_table(lam, p).values if lam.depth else one
+    fb = partial_sum_table(mu, p).values if mu.depth else one
+    table = PartialSumTable(p, lam.depth + mu.depth, np.convolve(fa, fb) % p)
+    for kz in nu.parts:
+        table = table.advanced(kz)
+    return ModPoly(p, table.values)
+
+
+def test_eval_fmp_triple_fft_weights_bit_identical(monkeypatch):
+    # FFT_MIN_LEN = 1 sends every weight product through the FFT path; the
+    # grid and primes are C10's, plus p = 1009 (beyond the oracles' reach)
+    monkeypatch.setattr(modular, "FFT_MIN_LEN", 1)
+    pool = indices_up_to(6, max_depth=2)
+    triples = [
+        (lam, mu, nu)
+        for lam, mu, nu in product(pool, repeat=3)
+        if lam.weight + mu.weight + nu.weight <= 6 and lam.depth + mu.depth + nu.depth <= 4
+    ]
+    eval_fmp_triple.cache_clear()
+    try:
+        for lam, mu, nu in triples:
+            total_dep = lam.depth + mu.depth + nu.depth
+            primes = ORACLE_PRIMES if total_dep <= 2 else ((5, 7, 11, 13) if total_dep == 4 else (5, 7, 11, 13, 17))
+            for p in primes + (1009,):
+                value = eval_fmp_triple(lam, mu, nu, p)
+                assert value == _triple_with_convolve_weights(lam, mu, nu, p), (lam, mu, nu, p)
+                if p <= 7:
+                    assert value == brute_force_fmp_triple(lam, mu, nu, p), (lam, mu, nu, p)
+    finally:
+        eval_fmp_triple.cache_clear()

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fmpl import modular
 from fmpl.modular import (
+    FFT_MAX_LEN,
+    FFT_MIN_LEN,
     ModPoly,
+    ensure_prime,
     inverse_table,
     is_prime,
     mod_inverse,
+    mul_mod,
     primes_in_range,
 )
 
@@ -107,11 +112,98 @@ def test_poly_immutable():
         f.coeffs[0] = 3
 
 
-def test_poly_mul_overflow_guard():
+def test_poly_mul_exact_at_largest_prime():
     p = 2**31 - 1
     f = ModPoly(p, [1, 1])
-    with pytest.raises(OverflowError):
-        f * f
+    assert f * f == ModPoly(p, [1, 2, 1])
+    g = ModPoly(p, [p - 1] * 3)
+    assert g * g == ModPoly(p, [1, 2, 3, 2, 1])
+
+
+def test_non_prime_modulus_rejected_on_every_call():
+    # the primality result is cached; a cached "no" must still raise
+    for _ in range(2):
+        for n in (0, 1, 4, 561, 2**31 - 2, 2**31):
+            with pytest.raises(ValueError, match="not a prime"):
+                ModPoly(n, [1])
+            with pytest.raises(ValueError, match="not a prime"):
+                ensure_prime(n)
+
+
+def _all_max_product(la, lb, p):
+    """Python-int product of all-(p-1) inputs: c_t = #{i + j = t} * (p-1)^2 mod p."""
+    return [min(t + 1, la, lb, la + lb - 1 - t) * (p - 1) ** 2 % p for t in range(la + lb - 1)]
+
+
+def _int_product(a, b, p):
+    """Python-int product by Kronecker substitution into one big integer."""
+    width = 2 * (p - 1).bit_length() + max(len(a), len(b)).bit_length()
+    pack = lambda xs: sum(int(x) << (width * i) for i, x in enumerate(xs))
+    c = pack(a) * pack(b)
+    mask = (1 << width) - 1
+    return [((c >> (width * t)) & mask) % p for t in range(len(a) + len(b) - 1)]
+
+
+def test_fft_length_limit_follows_the_error_bound():
+    # mul_mod: lengths m <= FFT_MAX_LEN pad to at most 2^22, and m (13 k + 3) < 2^29
+    assert 2 * FFT_MAX_LEN - 1 <= 1 << 22
+    assert FFT_MAX_LEN * (13 * 22 + 3) < 1 << 29 <= (FFT_MAX_LEN + 1) * (13 * 22 + 3)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**22 - 3])
+@pytest.mark.parametrize("la,lb", [(FFT_MIN_LEN, FFT_MIN_LEN), (1 << 16, 1 << 16), (1 << 17, 3000)])
+def test_mul_mod_fft_path_exact_on_all_max_inputs(p, la, lb):
+    a = np.full(la, p - 1, dtype=np.int64)
+    b = np.full(lb, p - 1, dtype=np.int64)
+    assert mul_mod(a, b, p).tolist() == _all_max_product(la, lb, p)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**22 - 3, 65521])
+def test_mul_mod_matches_python_ints(p):
+    rng = np.random.default_rng(p)
+    for la, lb in [(1, 1), (3, 200), (255, 2000), (256, 256), (2000, 1500)]:
+        a = rng.integers(0, p, la)
+        b = rng.integers(0, p, lb)
+        a[::7] = p - 1
+        assert mul_mod(a, b, p).tolist() == _int_product(a, b, p), (la, lb)
+
+
+def test_mul_mod_limb_split_direct_beyond_fft_limit(monkeypatch):
+    # a shorter limit sends these products down the limb-split np.convolve path
+    monkeypatch.setattr(modular, "FFT_MAX_LEN", 600)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("FFT path taken beyond FFT_MAX_LEN")
+
+    monkeypatch.setattr(np.fft, "rfft", no_fft)
+    rng = np.random.default_rng(7)
+    for p in (2**31 - 1, 2**22 - 3):
+        a = np.full(700, p - 1, dtype=np.int64)
+        b = np.full(300, p - 1, dtype=np.int64)
+        assert mul_mod(a, b, p).tolist() == _all_max_product(700, 300, p)
+        a = rng.integers(0, p, 1000)
+        b = rng.integers(0, p, 400)
+        assert mul_mod(a, b, p).tolist() == _int_product(a, b, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    la=st.integers(1, 3000),
+    lb=st.integers(1, 3000),
+    p=st.sampled_from([2, 3, 101, 65521, 1000003]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(la=FFT_MIN_LEN - 1, lb=3000, p=1000003, seed=0)
+@example(la=FFT_MIN_LEN, lb=FFT_MIN_LEN, p=65521, seed=0)
+def test_mul_mod_bit_identical_to_convolve(la, lb, p, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, la)
+    b = rng.integers(0, p, lb)
+    a[rng.random(la) < 0.5] = p - 1
+    expected = np.convolve(a, b) % p
+    out = mul_mod(a, b, p)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, expected)
 
 
 coeff_lists = st.lists(st.integers(0, 100), min_size=0, max_size=12)

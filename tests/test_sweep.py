@@ -20,13 +20,28 @@ def test_run_sweep_covers_requested_primes():
     assert report.exit_code == 0
 
 
-def test_run_sweep_reports_failures():
-    report = run_sweep("li-at-1", {"k": I(1)}, 2, 3)
+def test_run_sweep_reports_failures(monkeypatch):
+    def odd_one_out(params, p):
+        return CheckResult(False, "planted") if p == 2 else CheckResult(True)
+
+    monkeypatch.setitem(CHECKS, "odd-one-out", odd_one_out)
+    report = run_sweep("odd-one-out", {}, 2, 3)
     statuses = {r.p: r.status for r in report.results}
-    assert statuses[2] == "fail"
+    assert statuses == {2: "fail", 3: "pass"}
     assert report.exit_code == 1
     failing = [r for r in report.results if r.status == "fail"]
     assert all(r.detail for r in failing)
+
+
+def test_li_at_one_skips_primes_outside_its_domain():
+    # li_1(1) = 1 at p = 2, where p > wt(k) + dep(k) = 2 fails
+    report = run_sweep("li-at-1", {"k": I(1)}, 2, 7)
+    statuses = {r.p: r.status for r in report.results}
+    assert statuses == {2: "skip", 3: "pass", 5: "pass", 7: "pass"}
+    assert report.exit_code == 0
+    assert "p > wt(k) + dep(k) = 2" in report.results[0].detail
+    report = run_sweep("li-at-1", {"k": I(2, 1)}, 2, 7)
+    assert [r.status for r in report.results] == ["skip", "skip", "skip", "pass"]
 
 
 def test_run_sweep_rejects_unknown_check():
