@@ -1,10 +1,11 @@
 """Command-line front end: evaluate, multiply symbolically, sweep-verify.
 
 Index arguments use comma-separated positive integers ("2,3"); the empty
-index is the literal "-".  Verify commands run over an inclusive prime
-range "a..b" (default 5..199) and can write machine-readable JSON or CSV
-reports.  Exit status: 0 all primes pass (skips allowed), 1 any failure,
-2 usage error.
+index is the literal "-".  Each verify check is one entry of
+fmpl.sweep.CHECKS, which declares its flags and validates them.  Verify
+commands run over an inclusive prime range "a..b" (default 5..199,
+b < 2^31) and can write machine-readable JSON or CSV reports.  Exit
+status: 0 all primes pass (skips allowed), 1 any failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from typing import Optional, Sequence
 
 from .identities import shuffle_correction
 from .evaluate import eval_fmp, eval_fmp_triple, eval_zeta, eval_zeta_variant
-from .modular import is_prime
-from .surjections import MAX_R
+from .modular import MAX_PRIME, is_prime
 from .sweep import CHECKS, SweepInterrupted, SweepReport, run_sweep
 from .words import Index, shuffle, stuffle
 
@@ -49,6 +49,8 @@ def _prime_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected a range like 5..199, got {text!r}") from None
     if a < 2 or b < a:
         raise argparse.ArgumentTypeError(f"invalid prime range {text!r}")
+    if b >= MAX_PRIME:
+        raise argparse.ArgumentTypeError(f"prime range {text!r} exceeds the supported maximum {MAX_PRIME - 1}")
     return a, b
 
 
@@ -96,20 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
     common.add_argument("--jobs", type=_positive, default=None, help="worker count (default: FMP_JOBS or all cores)")
     vf_kinds = vf.add_subparsers(dest="check", required=True)
-    check_flags = {
-        "eq7": [("-L", _index), ("-M", _index), ("-N", _index)],
-        "main": [("-l", _index), ("-r", _index)],
-        "prop24": [("-i", _positive), ("-k", _index)],
-        "stuffle": [("-l", _index), ("-r", _index)],
-        "pfd": [("--alpha", _positive), ("--beta", _positive)],
-        "bijection": [("-r", _positive)],
-        "reversal": [("-k", _index)],
-        "li-at-1": [("-k", _index)],
-    }
-    for check, flags in check_flags.items():
-        sub = vf_kinds.add_parser(check, parents=[common])
-        for flag, typ in flags:
-            sub.add_argument(flag, type=typ, required=True)
+    for name, check in CHECKS.items():
+        sub = vf_kinds.add_parser(name, parents=[common])
+        for param, typ in check.params:
+            flag = f"-{param}" if len(param) == 1 else f"--{param}"
+            sub.add_argument(flag, type=_index if typ is Index else _positive, required=True)
     return parser
 
 
@@ -123,41 +116,6 @@ def _resolve_jobs(args: argparse.Namespace) -> int:
         except ValueError:
             print(f"fmpl: ignoring malformed FMP_JOBS={env!r}", file=sys.stderr)
     return os.cpu_count() or 1
-
-
-def _check_product_depth(l: Index, r: Index) -> None:
-    """The correction expression expands variants of depth up to dep(l) + dep(r) - 1."""
-    if l.depth + r.depth > MAX_R + 1:
-        raise ValueError(f"dep(l) + dep(r) = {l.depth + r.depth} exceeds the supported maximum {MAX_R + 1}")
-
-
-def _verify_params(args: argparse.Namespace) -> dict:
-    check = args.check
-    if check == "eq7":
-        if not args.L or not args.M:
-            raise ValueError("eq7 requires nonempty -L and -M")
-        return {"L": args.L, "M": args.M, "N": args.N}
-    if check == "main":
-        _check_product_depth(args.l, args.r)
-    if check in ("main", "stuffle"):
-        return {"l": args.l, "r": args.r}
-    if check == "prop24":
-        if not 1 <= args.i <= args.k.depth:
-            raise ValueError(f"-i {args.i} outside [1, dep(k)={args.k.depth}]")
-        if args.k.depth > MAX_R:
-            raise ValueError(f"dep(k) = {args.k.depth} exceeds the supported maximum {MAX_R}")
-        return {"i": args.i, "k": args.k}
-    if check == "pfd":
-        return {"alpha": args.alpha, "beta": args.beta}
-    if check == "bijection":
-        if args.r > MAX_R:
-            raise ValueError(f"-r {args.r} exceeds the supported maximum {MAX_R}")
-        return {"r": args.r}
-    if check in ("reversal", "li-at-1"):
-        if not args.k:
-            raise ValueError(f"{check} requires a nonempty -k")
-        return {"k": args.k}
-    raise ValueError(f"unknown check {check!r}")
 
 
 def _write_report(report: SweepReport, path: Optional[str], fmt: str) -> None:
@@ -210,7 +168,7 @@ def _cmd_product(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         print(stuffle(args.l, args.r))
     else:
         try:
-            _check_product_depth(args.l, args.r)
+            CHECKS["main"].validate(args.l, args.r)
         except ValueError as exc:
             parser.error(str(exc))
         expr = shuffle_correction(args.l, args.r)
@@ -221,8 +179,10 @@ def _cmd_product(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    check = CHECKS[args.check]
+    params = {name: getattr(args, name) for name, _ in check.params}
     try:
-        params = _verify_params(args)
+        check.validate(*check.args(params))
     except ValueError as exc:
         parser.error(str(exc))
     lo, hi = args.primes

@@ -1,12 +1,15 @@
 """Prime-sweep execution of the per-prime checks, with JSON/CSV reports.
 
-A sweep runs one named check with fixed parameters over every prime in an
-inclusive range.  Workers receive immutable (check, params, prime) task
-descriptors; results are merged into a report ordered by prime.  A prime
-where a rational coefficient loses meaning, or one outside the domain where
-the check's identity is claimed, is recorded as a skip with its reason,
-never silently dropped, so a sweep verdict is always "pass with exception
-set".
+A check is one entry of CHECKS: its identities function, its parameters
+with their types, their validation and, where the identity is claimed only
+above a prime bound, that bound.  The CLI builds each ``verify`` command
+from the same entry.  A sweep runs one named check with fixed parameters
+over every prime in an inclusive range.  Workers receive immutable (check,
+params, prime) task descriptors; results are merged into a report ordered
+by prime.  A prime where a rational coefficient loses meaning, or one
+outside the domain where the check's identity is claimed, is recorded as a
+skip with its reason, never silently dropped, so a sweep verdict is always
+"pass with exception set".
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -31,14 +35,10 @@ from .identities import (
     verify_stuffle,
 )
 from .modular import primes_in_range
-from .surjections import bijection_roundtrip
+from .surjections import MAX_R, bijection_roundtrip
 from .words import Index
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
-
-
-class OutsideDomainError(ValueError):
-    """The prime lies outside the range where the check's identity is claimed."""
 
 
 @dataclass(frozen=True)
@@ -99,51 +99,75 @@ class SweepReport:
         return buf.getvalue()
 
 
-def _check_eq7(params: dict, p: int) -> CheckResult:
-    return verify_eq7(params["L"], params["M"], params["N"], p)
+def _validate_eq7(L: Index, M: Index, N: Index) -> None:
+    if not L or not M:
+        raise ValueError("eq7 requires nonempty -L and -M")
 
 
-def _check_main(params: dict, p: int) -> CheckResult:
-    return verify_main(params["l"], params["r"], p)
+def _validate_product(l: Index, r: Index) -> None:
+    """The correction expression expands variants of depth up to dep(l) + dep(r) - 1."""
+    if l.depth + r.depth > MAX_R + 1:
+        raise ValueError(f"dep(l) + dep(r) = {l.depth + r.depth} exceeds the supported maximum {MAX_R + 1}")
 
 
-def _check_prop24(params: dict, p: int) -> CheckResult:
-    return verify_prop24(params["i"], params["k"], p)
+def _validate_prop24(i: int, k: Index) -> None:
+    if not 1 <= i <= k.depth:
+        raise ValueError(f"-i {i} outside [1, dep(k)={k.depth}]")
+    if k.depth > MAX_R:
+        raise ValueError(f"dep(k) = {k.depth} exceeds the supported maximum {MAX_R}")
 
 
-def _check_stuffle(params: dict, p: int) -> CheckResult:
-    return verify_stuffle(params["l"], params["r"], p)
+def _validate_bijection(r: int) -> None:
+    if r > MAX_R:
+        raise ValueError(f"-r {r} exceeds the supported maximum {MAX_R}")
 
 
-def _check_pfd(params: dict, p: int) -> CheckResult:
-    return pfd_check(params["alpha"], params["beta"], p)
+def _nonempty_k(check: str) -> Callable[[Index], None]:
+    def validate(k: Index) -> None:
+        if not k:
+            raise ValueError(f"{check} requires a nonempty -k")
+
+    return validate
 
 
-def _check_bijection(params: dict, p: int) -> CheckResult:
-    ok, detail = bijection_roundtrip(params["r"], p)
-    return CheckResult(ok, detail)
+@dataclass(frozen=True)
+class Check:
+    """One per-prime check, as both the CLI and the sweep see it.
+
+    ``params`` lists each parameter's name and type (``Index``, or ``int``
+    for a positive integer) in call order; the check runs as
+    ``run(*args, p)``.  ``validate(*args)`` raises ValueError for parameters
+    outside what the check supports.  Where ``bound`` is given, the identity
+    is claimed only for primes p > ``bound(*args)``, the quantity that
+    ``bound_text`` names.
+    """
+
+    run: Callable[..., CheckResult]
+    params: tuple[tuple[str, type], ...]
+    validate: Callable[..., None] = lambda *args: None
+    bound: Optional[Callable[..., int]] = None
+    bound_text: str = ""
+
+    def args(self, params: dict) -> list:
+        """The parameter values in call order."""
+        return [params[name] for name, _ in self.params]
 
 
-def _check_reversal(params: dict, p: int) -> CheckResult:
-    return verify_reversal(params["k"], p)
-
-
-def _check_li_at_one(params: dict, p: int) -> CheckResult:
-    k = params["k"]
-    if p <= k.weight + k.depth:
-        raise OutsideDomainError(f"outside the domain p > wt(k) + dep(k) = {k.weight + k.depth}")
-    return verify_li_at_one(k, p)
-
-
-CHECKS: dict[str, Callable[[dict, int], CheckResult]] = {
-    "eq7": _check_eq7,
-    "main": _check_main,
-    "prop24": _check_prop24,
-    "stuffle": _check_stuffle,
-    "pfd": _check_pfd,
-    "bijection": _check_bijection,
-    "reversal": _check_reversal,
-    "li-at-1": _check_li_at_one,
+CHECKS: dict[str, Check] = {
+    "eq7": Check(verify_eq7, (("L", Index), ("M", Index), ("N", Index)), _validate_eq7),
+    "main": Check(verify_main, (("l", Index), ("r", Index)), _validate_product),
+    "prop24": Check(verify_prop24, (("i", int), ("k", Index)), _validate_prop24),
+    "stuffle": Check(verify_stuffle, (("l", Index), ("r", Index))),
+    "pfd": Check(pfd_check, (("alpha", int), ("beta", int))),
+    "bijection": Check(lambda r, p: CheckResult(*bijection_roundtrip(r, p)), (("r", int),), _validate_bijection),
+    "reversal": Check(verify_reversal, (("k", Index),), _nonempty_k("reversal")),
+    "li-at-1": Check(
+        verify_li_at_one,
+        (("k", Index),),
+        _nonempty_k("li-at-1"),
+        bound=lambda k: k.weight + k.depth,
+        bound_text="wt(k) + dep(k)",
+    ),
 }
 
 
@@ -157,9 +181,13 @@ def echo_params(params: dict) -> dict[str, str]:
 
 def run_one(check: str, params: dict, p: int) -> PrimeOutcome:
     """Execute one (check, prime) task; exceptional and out-of-domain primes become skips."""
+    entry = CHECKS[check]
+    args = entry.args(params)
+    if entry.bound is not None and p <= (bound := entry.bound(*args)):
+        return PrimeOutcome(p, SKIP, f"outside the domain p > {entry.bound_text} = {bound}")
     try:
-        result = CHECKS[check](params, p)
-    except (ExceptionalPrimeError, OutsideDomainError) as exc:
+        result = entry.run(*args, p)
+    except ExceptionalPrimeError as exc:
         return PrimeOutcome(p, SKIP, str(exc))
     if result.ok:
         return PrimeOutcome(p, PASS, result.detail)
@@ -175,22 +203,26 @@ def run_sweep(
 ) -> SweepReport:
     """Run one check over all primes in [prime_from, prime_to].
 
-    With jobs > 1 the per-prime tasks are dispatched to a process pool; on
+    The parameters are validated once, before any prime runs.  With jobs > 1
+    the tasks go to a pool of min(jobs, primes, cores) processes; on
     interruption the unfinished primes are recorded as skips so the report
     still covers the requested range.
     """
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
+    entry = CHECKS[check]
+    entry.validate(*entry.args(params))
     primes = primes_in_range(prime_from, prime_to)
+    workers = min(jobs, len(primes), os.cpu_count() or 1)
     report = SweepReport(check, echo_params(params), prime_from, prime_to)
     start = time.monotonic()
     outcomes: dict[int, PrimeOutcome] = {}
     try:
-        if jobs <= 1 or len(primes) <= 1:
+        if workers <= 1:
             for p in primes:
                 outcomes[p] = run_one(check, params, p)
         else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {pool.submit(run_one, check, params, p): p for p in primes}
                 pending = set(futures)
                 while pending:

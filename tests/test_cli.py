@@ -1,10 +1,13 @@
+import argparse
+import dataclasses
 import json
 
 import pytest
 
 from fmpl import sweep
-from fmpl.cli import main
+from fmpl.cli import build_parser, main
 from fmpl.identities import CheckResult
+from fmpl.words import Index
 
 
 def run_cli(capsys, *argv):
@@ -86,7 +89,8 @@ def test_verify_main_exit_zero(capsys):
 
 
 def test_verify_failure_exit_one(capsys, monkeypatch):
-    monkeypatch.setattr(sweep, "verify_li_at_one", lambda k, p: CheckResult(False, "li(1) = 1"))
+    failing = dataclasses.replace(sweep.CHECKS["li-at-1"], run=lambda k, p: CheckResult(False, "li(1) = 1"))
+    monkeypatch.setitem(sweep.CHECKS, "li-at-1", failing)
     code, out, err = run_cli(capsys, "verify", "li-at-1", "-k", "1", "--primes", "5..5")
     assert code == 1
     assert "fail=1" in out
@@ -104,6 +108,36 @@ def test_verify_unknown_check_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense", "-k", "1"])
     assert exc.value.code == 2
+
+
+def _subcommands(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_verify_subcommands_follow_registry():
+    parser = build_parser()
+    verify = _subcommands(_subcommands(parser)["verify"])
+    assert list(verify) == list(sweep.CHECKS)
+    for name, check in sweep.CHECKS.items():
+        flags = [f"-{param}" if len(param) == 1 else f"--{param}" for param, _ in check.params]
+        required = [opt for a in verify[name]._actions if a.required for opt in a.option_strings]
+        assert required == flags, name
+        argv = ["verify", name] + [arg for flag in flags for arg in (flag, "2")]
+        args = parser.parse_args(argv)
+        assert [getattr(args, param) for param, _ in check.params] == [
+            Index.of(2) if typ is Index else 2 for _, typ in check.params
+        ]
+
+
+@pytest.mark.parametrize("primes", ["2147483648..2147483700", "5..2147483648"])
+def test_verify_range_beyond_max_prime_usage_error(capsys, primes):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["verify", "stuffle", "-l", "2", "-r", "3", "--primes", primes])
+    assert exc.value.code == 2
+    assert "exceeds the supported maximum 2147483647" in capsys.readouterr().err
+    args = build_parser().parse_args(["verify", "stuffle", "-l", "2", "-r", "3", "--primes", "5..2147483647"])
+    assert args.primes == (5, 2147483647)
 
 
 def test_verify_bad_range_usage_error(capsys):

@@ -1,14 +1,18 @@
 import csv
+import dataclasses
 import io
 import json
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
 
+from fmpl import sweep
 from fmpl.identities import CheckResult, ExceptionalPrimeError
 from fmpl.modular import primes_in_range
-from fmpl.sweep import CHECKS, PrimeOutcome, SweepReport, run_one, run_sweep
-from fmpl.words import Index
+from fmpl.surjections import MAX_R
+from fmpl.sweep import CHECKS, Check, PrimeOutcome, SweepReport, run_one, run_sweep
+from fmpl.words import EMPTY, Index
 
 I = Index.of
 
@@ -21,10 +25,10 @@ def test_run_sweep_covers_requested_primes():
 
 
 def test_run_sweep_reports_failures(monkeypatch):
-    def odd_one_out(params, p):
+    def odd_one_out(p):
         return CheckResult(False, "planted") if p == 2 else CheckResult(True)
 
-    monkeypatch.setitem(CHECKS, "odd-one-out", odd_one_out)
+    monkeypatch.setitem(CHECKS, "odd-one-out", Check(odd_one_out, ()))
     report = run_sweep("odd-one-out", {}, 2, 3)
     statuses = {r.p: r.status for r in report.results}
     assert statuses == {2: "fail", 3: "pass"}
@@ -44,18 +48,86 @@ def test_li_at_one_skips_primes_outside_its_domain():
     assert [r.status for r in report.results] == ["skip", "skip", "skip", "pass"]
 
 
+def _counting(monkeypatch, check):
+    """Plant a copy of a registry entry whose check only records the primes it runs at."""
+    calls = []
+
+    def run(*args):
+        calls.append(args[-1])
+        return CheckResult(True)
+
+    monkeypatch.setitem(CHECKS, check, dataclasses.replace(CHECKS[check], run=run))
+    return calls
+
+
+def test_li_at_one_domain_skip_is_decided_by_the_registry(monkeypatch):
+    calls = _counting(monkeypatch, "li-at-1")
+    assert run_one("li-at-1", {"k": I(2, 1)}, 5) == PrimeOutcome(5, "skip", "outside the domain p > wt(k) + dep(k) = 5")
+    assert calls == []
+    assert run_one("li-at-1", {"k": I(2, 1)}, 7) == PrimeOutcome(7, "pass", None)
+    assert calls == [7]
+
+
+@pytest.mark.parametrize(
+    "check, params",
+    [
+        ("eq7", {"L": EMPTY, "M": I(1), "N": I(1)}),
+        ("prop24", {"i": 3, "k": I(1, 1)}),
+        ("bijection", {"r": MAX_R + 1}),
+    ],
+)
+def test_run_sweep_validates_before_any_prime(monkeypatch, check, params):
+    calls = _counting(monkeypatch, check)
+    with pytest.raises(ValueError):
+        run_sweep(check, params, 5, 30)
+    assert calls == []
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size and runs each task at once."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize(
+    "jobs, cores, prime_to, workers",
+    [(100000, 4, 30, [4]), (100000, 64, 7, [2]), (3, 64, 30, [3]), (100000, 64, 5, [])],
+)
+def test_pool_is_capped_by_primes_and_cores(monkeypatch, jobs, cores, prime_to, workers):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cores)
+    report = run_sweep("stuffle", {"l": I(2), "r": I(3)}, 5, prime_to, jobs=jobs)
+    assert _InlinePool.sizes == workers
+    assert [(r.p, r.status) for r in report.results] == [(p, "pass") for p in primes_in_range(5, prime_to)]
+
+
 def test_run_sweep_rejects_unknown_check():
     with pytest.raises(ValueError, match="unknown check"):
         run_sweep("nope", {}, 5, 7)
 
 
 def test_exceptional_prime_becomes_skip(monkeypatch):
-    def flaky(params, p):
+    def flaky(p):
         if p == 7:
             raise ExceptionalPrimeError(p, Fraction(1, 7))
         return CheckResult(True)
 
-    monkeypatch.setitem(CHECKS, "flaky", flaky)
+    monkeypatch.setitem(CHECKS, "flaky", Check(flaky, ()))
     report = run_sweep("flaky", {}, 5, 11)
     statuses = {r.p: r.status for r in report.results}
     assert statuses == {5: "pass", 7: "skip", 11: "pass"}
@@ -119,12 +191,12 @@ def test_empty_prime_range():
 def test_interrupt_produces_partial_report(monkeypatch):
     from fmpl.sweep import SweepInterrupted
 
-    def impatient(params, p):
+    def impatient(p):
         if p == 11:
             raise KeyboardInterrupt
         return CheckResult(True)
 
-    monkeypatch.setitem(CHECKS, "impatient", impatient)
+    monkeypatch.setitem(CHECKS, "impatient", Check(impatient, ()))
     with pytest.raises(SweepInterrupted) as exc:
         run_sweep("impatient", {}, 5, 13)
     report = exc.value.report
