@@ -21,6 +21,13 @@ Three families are evaluated exactly in F_p:
 One window-step routine serves all three families; zeta keeps its tables
 at length p, since its partial sums stay below p.
 
+Sums over many indices at one prime (the generators of a correction
+expression, the terms of a formal sum of zeta values) share their work
+through prefix_tables: it walks the sorted distinct indices depth first
+over their prefix trie, runs one window step per trie node, and holds only
+the tables of the current path.  The zeta and li families differ in one
+thing only, the table length: zeta's tables are cut at p.
+
 All arithmetic is exact: int64 modular arithmetic, plus mul_mod's product,
 which is exact at every p < MAX_PRIME and every length.  The naive
 brute-force oracles at the bottom recompute small cases by literal nested
@@ -32,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -86,6 +94,52 @@ def _window_step(prev: np.ndarray, p: int, k: int, length: int) -> np.ndarray:
     return grid.ravel()[:length]
 
 
+def prefix_tables(
+    indices: Iterable[Index], p: int, cap: Optional[int] = None
+) -> Iterator[tuple[Index, np.ndarray]]:
+    """Each distinct index k with its stage-dep(k) table, in sorted order.
+
+    Sorted order visits the prefix trie of the indices depth first, since
+    the indices sharing a prefix are adjacent.  The walk keeps the tables
+    of the current path, one per stage, drops those below the prefix it
+    shares with the next index, and computes each trie node once, by one
+    _window_step from its parent, except that stage 1 is the cached
+    inverse-power table.  The root, stage 0, is the table [1] of the empty
+    index.  The stage-j table has length j * (p - 1) + 1, cut at cap >= p
+    when one is given.  The yielded tables are read only.
+    """
+    root = np.ones(1, dtype=np.int64)
+    root.flags.writeable = False
+    path = [root]
+    prev: tuple[int, ...] = ()
+    for k in sorted(set(indices), key=lambda k: k.parts):
+        common = 0
+        for a, b in zip(prev, k.parts):
+            if a != b:
+                break
+            common += 1
+        del path[common + 1 :]
+        for j in range(common, k.depth):
+            if j == 0:
+                path.append(_inv_powers(p, k[0]))
+                continue
+            length = (j + 1) * (p - 1) + 1
+            table = _window_step(path[-1], p, k[j], length if cap is None else min(length, cap))
+            table.flags.writeable = False
+            path.append(table)
+        prev = k.parts
+        yield k, path[-1]
+
+
+def zeta_values(indices: Iterable[Index], p: int) -> dict[Index, int]:
+    """zeta(k) mod p for each distinct k in indices, by one prefix-trie walk.
+
+    zeta's partial sums stay below p, so its tables are cut at length p.
+    The caller has checked that p is prime.
+    """
+    return {k: int(table.sum() % p) for k, table in prefix_tables(indices, p, p)}
+
+
 @dataclass(frozen=True)
 class PartialSumTable:
     """Distribution of a stage's exact partial-sum value over F_p.
@@ -121,16 +175,11 @@ def partial_sum_table(k: Index, p: int) -> PartialSumTable:
     return table
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def eval_zeta(k: Index, p: int) -> int:
     """The truncated multiple harmonic sum mod p; 1 for the empty index."""
     ensure_prime(p)
-    if k.depth == 0:
-        return 1
-    vals = _inv_powers(p, k[0])
-    for kj in k[1:]:
-        vals = _window_step(vals, p, kj, p)
-    return int(vals.sum() % p)
+    return zeta_values((k,), p)[k]
 
 
 @lru_cache(maxsize=4096)

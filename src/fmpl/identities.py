@@ -20,12 +20,22 @@ read in li's orientation: li puts k_1 on the innermost partial sum L_1,
 so the pure part is the reversed image rev(shuffle(rev k, rev k')) of
 words.shuffle, e.g. li_1 * li_2 = li_{2,1} + 2 li_{1,2} + zeta(3) T^p.
 
+eval_expression takes an expression to its polynomial in one pass: every
+distinct zeta value comes from one prefix-trie walk (evaluate.zeta_values),
+the terms fold into one scalar per (li index, T-power) pair, and only the
+pairs with a nonzero scalar get an li table, from a second trie walk.  Each
+table times its scalar is added into one int64 accumulator at offset
+p * tpow and reduced at once: the accumulator's entries stay below p and
+each product below (p - 1)^2, so no sum reaches p^2 < 2^62.  verify_eq7's
+right side is summed in the same accumulator.
+
 The verify_* functions compare two independently computed F_p (or
 F_p[T]) values and report the first difference.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +44,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .evaluate import eval_fmp, eval_fmp_triple, eval_zeta, eval_zeta_variant
+from .evaluate import eval_fmp, eval_fmp_triple, eval_zeta, eval_zeta_variant, prefix_tables, zeta_values
 from .modular import ModPoly, ensure_prime, inverse_table, mod_inverse
 from .surjections import variant_expansion
 from .words import EMPTY, FormalSum, Index, Rational, concat, shuffle, star, stuffle
@@ -221,23 +231,55 @@ def _coef_mod(coef: Fraction, p: int) -> int:
     return coef.numerator * mod_inverse(coef.denominator, p) % p
 
 
+def _accumulate(length: int, terms: Iterable[tuple[int, int, np.ndarray]], p: int) -> ModPoly:
+    """The sum of scalar * T^offset * table over (scalar, offset, table) in F_p[T].
+
+    Every table lies in [0, p) and every scalar in [0, p), and each
+    offset + len(table) is at most length.  int64 bound: the accumulator is
+    reduced after each add, so its entries stay below p; a product is at
+    most (p - 1)^2, and p - 1 + (p - 1)^2 < p^2 < 2^62 for p < MAX_PRIME.
+    """
+    acc = np.zeros(length, dtype=np.int64)
+    for scalar, offset, table in terms:
+        seg = acc[offset : offset + len(table)]
+        seg += table * scalar
+        seg %= p
+    return ModPoly(p, acc)
+
+
 def eval_expression(expr: CorrectionExpression, p: int) -> ModPoly:
-    """Evaluate a generator sum in F_p[T]."""
+    """Evaluate a generator sum in F_p[T], in one pass over the expression.
+
+    Every coefficient is reduced first, so ExceptionalPrimeError is raised
+    for any term whose denominator p divides, even one whose zeta value is
+    0.  The zeta values come from one prefix-trie walk, the terms fold into
+    one scalar mod p per (li index, T-power), and the li tables, from a
+    second walk, are added for the nonzero scalars only.  The accumulator
+    (see _accumulate) keeps entries < p and products < (p - 1)^2, so its
+    sums stay < p^2 < 2^62.
+    """
     ensure_prime(p)
-    out = ModPoly.zero(p)
-    for t in expr.terms:
-        scalar = _coef_mod(t.coef, p) * eval_zeta(t.zeta_index, p) % p
-        if scalar:
-            out = out + eval_fmp(t.li_index, p).scaled(scalar).shifted(p * t.tpow)
-    return out
+    coefs = [_coef_mod(t.coef, p) for t in expr.terms]
+    zeta = zeta_values((t.zeta_index for t in expr.terms), p)
+    scalars: dict[tuple[Index, int], int] = defaultdict(int)
+    for t, c in zip(expr.terms, coefs):
+        key = (t.li_index, t.tpow)
+        scalars[key] = (scalars[key] + c * zeta[t.zeta_index]) % p
+    shifts: dict[Index, list[tuple[int, int]]] = defaultdict(list)
+    for (li, n), s in scalars.items():
+        if s:
+            shifts[li].append((s, p * n))
+    length = max((off + li.depth * (p - 1) + 1 for li, pairs in shifts.items() for _, off in pairs), default=0)
+    terms = ((s, off, table) for li, table in prefix_tables(shifts, p) for s, off in shifts[li])
+    return _accumulate(length, terms, p)
 
 
 def eval_formal_sum_zeta(fs: FormalSum, p: int) -> int:
-    """Evaluate a formal sum of indices through zeta."""
-    total = 0
-    for k, c in fs:
-        total = (total + _coef_mod(c, p) * eval_zeta(k, p)) % p
-    return total
+    """Evaluate a formal sum of indices through zeta, by one prefix-trie walk."""
+    ensure_prime(p)
+    coefs = [(k, _coef_mod(c, p)) for k, c in fs]
+    zeta = zeta_values((k for k, _ in coefs), p)
+    return sum(c * zeta[k] for k, c in coefs) % p
 
 
 @dataclass(frozen=True)
@@ -311,36 +353,31 @@ def verify_eq7(lam: Index, mu: Index, nu: Index, p: int) -> CheckResult:
     lhs = eval_fmp_triple(lam, mu, nu, p)
     a, b = lam.depth, mu.depth
     la, mb = lam[-1], mu[-1]
-    rhs = ModPoly.zero(p)
+    terms: list[tuple[int, int, np.ndarray]] = []
     for tau in range(mb):
         c = comb(la - 1 + tau, tau) % p
         sub = eval_fmp_triple(lam.head(), Index(mu.parts[:-1] + (mb - tau,)), Index((la + tau,) + nu.parts), p)
-        rhs = rhs + sub.scaled(c)
+        terms.append((c, 0, sub.coeffs))
     for tau in range(la):
         c = comb(mb - 1 + tau, tau) % p
         sub = eval_fmp_triple(Index(lam.parts[:-1] + (la - tau,)), mu.head(), Index((mb + tau,) + nu.parts), p)
-        rhs = rhs + sub.scaled(c)
+        terms.append((c, 0, sub.coeffs))
     sign = p - 1 if mu.weight % 2 else 1
     merged = star(lam, mu)
-    li_nu = eval_fmp(nu, p)
+    li_nu = eval_fmp(nu, p).coeffs
     for i in range(1, a + b):
-        scalar = sign * eval_zeta_variant(i, merged, p) % p
-        if scalar:
-            rhs = rhs + li_nu.scaled(scalar).shifted(p * i)
+        terms.append((sign * eval_zeta_variant(i, merged, p) % p, p * i, li_nu))
     if a >= 2:
         c4 = comb(la + mb - 1, la) % p
-        li4 = eval_fmp(Index(mu.parts[:-1] + (la + mb,) + nu.parts), p)
+        li4 = eval_fmp(Index(mu.parts[:-1] + (la + mb,) + nu.parts), p).coeffs
         for j in range(1, a):
-            scalar = (p - c4) * eval_zeta_variant(j, lam.head(), p) % p
-            if scalar:
-                rhs = rhs + li4.scaled(scalar).shifted(p * j)
+            terms.append(((p - c4) * eval_zeta_variant(j, lam.head(), p) % p, p * j, li4))
     if b >= 2:
         c5 = comb(la + mb - 1, mb) % p
-        li5 = eval_fmp(Index(lam.parts[:-1] + (la + mb,) + nu.parts), p)
+        li5 = eval_fmp(Index(lam.parts[:-1] + (la + mb,) + nu.parts), p).coeffs
         for j in range(1, b):
-            scalar = (p - c5) * eval_zeta_variant(j, mu.head(), p) % p
-            if scalar:
-                rhs = rhs + li5.scaled(scalar).shifted(p * j)
+            terms.append(((p - c5) * eval_zeta_variant(j, mu.head(), p) % p, p * j, li5))
+    rhs = _accumulate(max(offset + len(table) for _, offset, table in terms), terms, p)
     return _poly_diff(lhs, rhs)
 
 

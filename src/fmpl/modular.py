@@ -12,6 +12,7 @@ below 1/2.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 from typing import Iterable, Union
 
 import numpy as np
@@ -245,12 +246,28 @@ class ModPoly:
         return ModPoly(self.p, np.concatenate([np.zeros(n, dtype=np.int64), self.coeffs]))
 
     def evaluate(self, t: int) -> int:
-        """Horner evaluation at t in F_p."""
-        acc = 0
-        t %= self.p
-        for c in reversed(self.coeffs.tolist()):
-            acc = (acc * t + c) % self.p
-        return acc
+        """The value at t in F_p, equal to Horner's rule.
+
+        The powers t^e for e < n = len(coeffs) come from a two-level table,
+        t^(m i + j) = t^(m i) * t^j with m = ceil(sqrt n), which takes 2 m
+        Python steps; each table product is < p^2 < 2^62.  Each term
+        c_e t^e is reduced below p, so a sum of at most 2^32 of them stays
+        < 2^32 p < 2^63; longer arrays are summed in slices of 2^32.
+        """
+        p, n = self.p, len(self.coeffs)
+        if n == 0:
+            return 0
+        t %= p
+        m = isqrt(n - 1) + 1
+        low = [1]
+        for _ in range(m):
+            low.append(low[-1] * t % p)
+        high = [1]
+        for _ in range(-(-n // m) - 1):
+            high.append(high[-1] * low[m] % p)
+        powers = (np.array(high)[:, None] * np.array(low[:m]) % p).ravel()[:n]
+        terms = self.coeffs * powers % p
+        return sum(int(terms[i : i + (1 << 32)].sum()) for i in range(0, n, 1 << 32)) % p
 
     def __str__(self) -> str:
         if not self:

@@ -1,7 +1,10 @@
-"""Shared index generators for the test grids."""
+"""Shared index generators for the test grids, and reference evaluators."""
 
 from itertools import product
 
+from fmpl.evaluate import eval_fmp, eval_zeta
+from fmpl.identities import _coef_mod
+from fmpl.modular import ModPoly, ensure_prime
 from fmpl.words import EMPTY, FormalSum, Index, shuffle
 
 I = Index.of
@@ -46,6 +49,21 @@ def index_pairs_up_to(max_total_weight: int) -> list[tuple[Index, Index]]:
     """All index pairs with wt(k) + wt(k') <= max_total_weight."""
     pool = indices_up_to(max_total_weight)
     return [(a, b) for a, b in product(pool, repeat=2) if a.weight + b.weight <= max_total_weight]
+
+
+def eval_expression_per_term(expr, p):
+    """The generator sum in F_p[T], one scaled and shifted li polynomial per term.
+
+    The reference for identities.eval_expression: it raises
+    ExceptionalPrimeError at the first term whose denominator p divides.
+    """
+    ensure_prime(p)
+    out = ModPoly.zero(p)
+    for t in expr.terms:
+        scalar = _coef_mod(t.coef, p) * eval_zeta(t.zeta_index, p) % p
+        if scalar:
+            out = out + eval_fmp(t.li_index, p).scaled(scalar).shifted(p * t.tpow)
+    return out
 
 
 def reversed_image(fs):

@@ -16,6 +16,8 @@ from fmpl.evaluate import (
     eval_zeta,
     eval_zeta_variant,
     partial_sum_table,
+    prefix_tables,
+    zeta_values,
 )
 from fmpl.modular import ModPoly
 from fmpl.words import EMPTY, Index, concat
@@ -55,6 +57,29 @@ def test_evaluators_reject_composite_modulus_on_every_call(n):
         for call in calls:
             with pytest.raises(ValueError, match="not a prime"):
                 call()
+
+
+@pytest.mark.parametrize("p", (2, 5, 13, 1009))
+def test_prefix_tables_match_single_index_tables(p):
+    pool = indices_up_to(6, max_depth=4)
+    given_order = pool[::-1] + pool[::3]  # unsorted, with repeats
+    walked = list(prefix_tables(given_order, p))
+    assert [k for k, _ in walked] == sorted(pool)
+    for k, table in walked:
+        expected = partial_sum_table(k, p).values if k.depth else np.ones(1, dtype=np.int64)
+        assert np.array_equal(table, expected), (k, p)
+        assert not table.flags.writeable
+    zeta = dict(prefix_tables(given_order, p, p))
+    for k, table in walked:
+        assert np.array_equal(zeta[k], table[:p]), (k, p)
+    values = zeta_values(given_order, p)
+    for k in pool:
+        if k.depth == 0:
+            assert values[k] == 1
+        elif p <= 31 and k.depth <= 4:
+            assert values[k] == brute_force_zeta_variant(1, k, p), (k, p)
+        else:
+            assert values[k] == eval_zeta_variant(1, k, p), (k, p)
 
 
 def test_eval_fmp_examples():

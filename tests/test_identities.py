@@ -1,13 +1,19 @@
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import index_pairs_up_to, indices_up_to, reversed_shuffle
-from fmpl.evaluate import eval_fmp
+from helpers import eval_expression_per_term, index_pairs_up_to, indices_up_to, reversed_shuffle
+from fmpl.evaluate import eval_fmp, eval_zeta
 from fmpl.identities import (
     CorrectionExpression,
     CorrectionTerm,
     ExceptionalPrimeError,
+    _accumulate,
+    _coef_mod,
     eval_expression,
     expand_triple,
     pfd_check,
@@ -20,7 +26,7 @@ from fmpl.identities import (
     verify_reversal,
     verify_stuffle,
 )
-from fmpl.modular import ModPoly
+from fmpl.modular import ModPoly, primes_in_range
 from fmpl.words import EMPTY, FormalSum, Index, concat, shuffle
 
 I = Index.of
@@ -177,6 +183,100 @@ def test_eval_expression_exceptional_prime():
     with pytest.raises(ExceptionalPrimeError):
         eval_expression(expr, 5)
     assert eval_expression(expr, 7) == eval_fmp(I(1), 7).scaled(3)  # 1/5 = 3 mod 7
+
+
+def test_eval_expression_exceptional_prime_with_zero_zeta():
+    # zeta(1) = H_(p-1) = 0 mod p, so this term's scalar would be dropped;
+    # its coefficient is still reduced, and raises
+    assert eval_zeta(I(1), 5) == 0
+    expr = CorrectionExpression([term(1, li=(2,)), term(Fraction(1, 5), zeta=(1,), li=(1,))])
+    with pytest.raises(ExceptionalPrimeError) as info:
+        eval_expression(expr, 5)
+    assert info.value.coef == Fraction(1, 5)
+
+
+BIT_IDENTITY_PRIMES = (2, 3, 5, 7, 13, 101, 1009)
+
+
+def test_eval_expression_matches_per_term_on_small_pairs():
+    pool = indices_up_to(4)
+    for k, kp in product(pool, repeat=2):
+        expr = shuffle_correction(k, kp)
+        for p in BIT_IDENTITY_PRIMES:
+            assert eval_expression(expr, p) == eval_expression_per_term(expr, p), (k, kp, p)
+
+
+@pytest.mark.parametrize("k,kp", [(I(2, 1, 2, 1), I(3, 1, 2)), (I(2, 1), I(3)), (I(1), I(2))])
+def test_eval_expression_matches_per_term_on_benchmark_pairs(k, kp):
+    # the pairs of the main-w12 and main-w6 sweeps, and the smallest one
+    expr = shuffle_correction(k, kp)
+    for p in primes_in_range(2, 200) + [1009, 4999]:
+        assert eval_expression(expr, p) == eval_expression_per_term(expr, p), (k, kp, p)
+
+
+random_terms = st.lists(
+    st.tuples(
+        st.integers(-30, 30),
+        st.sampled_from((1, 2, 3, 5, 6, 7)),
+        st.sampled_from(indices_up_to(4, max_depth=3)),
+        st.integers(0, 3),
+        st.sampled_from(indices_up_to(3)),
+        st.booleans(),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=random_terms, p=st.sampled_from((2, 3, 5, 7, 13)))
+def test_eval_expression_matches_per_term_on_random_expressions(raw, p):
+    terms = []
+    for num, den, zeta, tpow, li, cancel in raw:
+        coef = Fraction(num, den)
+        terms.append(CorrectionTerm(coef, zeta, tpow, li))
+        if cancel and zeta != EMPTY and den % p:
+            # a zeta-free partner on the same (li, T-power) whose scalar
+            # cancels this term's mod p
+            partner = -_coef_mod(coef, p) * eval_zeta(zeta, p) % p
+            terms.append(CorrectionTerm(Fraction(partner), EMPTY, tpow, li))
+    expr = CorrectionExpression(terms)
+    try:
+        expected = eval_expression_per_term(expr, p)
+    except ExceptionalPrimeError as exc:
+        with pytest.raises(ExceptionalPrimeError) as info:
+            eval_expression(expr, p)
+        assert info.value.coef == exc.coef
+        return
+    assert eval_expression(expr, p) == expected
+
+
+def test_accumulator_bound_at_largest_prime():
+    # 1000 all-(p - 1) products at one offset would pass 2^63 unreduced
+    p = 2**31 - 1
+    terms = [(p - 1, 0, np.full(40, p - 1, dtype=np.int64))] * 1000
+    terms += [(p - 1, 30, np.full(20, p - 1, dtype=np.int64))] * 7
+    out = _accumulate(50, terms, p)
+    expected = [0] * 50
+    for scalar, offset, table in terms:
+        for e, c in enumerate(table.tolist()):
+            expected[offset + e] = (expected[offset + e] + scalar * c) % p
+    assert out == ModPoly(p, expected)
+    assert out.coeffs.tolist() == expected
+
+
+def test_eval_expression_builds_one_polynomial(monkeypatch):
+    expr = shuffle_correction(I(2, 1, 2, 1), I(3, 1, 2))
+    built = []
+    init = ModPoly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModPoly, "__init__", counting_init)
+    value = eval_expression(expr, 199)
+    assert value
+    assert len(built) <= 2
 
 
 def test_pfd_hand_case():

@@ -217,3 +217,28 @@ def test_poly_ring_properties(a, b, c, t):
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
     assert (f * g).evaluate(t) == f.evaluate(t) * g.evaluate(t) % p
+
+
+def _horner(f, t):
+    acc = 0
+    for c in reversed(f.coeffs.tolist()):
+        acc = (acc * t + c) % f.p
+    return acc
+
+
+@pytest.mark.parametrize("p", (2, 101, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_evaluate_matches_horner(p, data):
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), max_size=300))
+    t = data.draw(st.one_of(st.sampled_from((0, 1, p - 1, p, 2 * p, -1)), st.integers(-(p**2), p**2)))
+    f = ModPoly(p, coeffs)
+    assert f.evaluate(t) == _horner(f, t % p)
+
+
+def test_evaluate_zero_and_long():
+    p = 2**31 - 1
+    assert ModPoly.zero(p).evaluate(5) == 0
+    f = ModPoly(p, np.full(10007, p - 1, dtype=np.int64))
+    for t in (0, 1, 2, p - 1, 12345):
+        assert f.evaluate(t) == _horner(f, t), t
