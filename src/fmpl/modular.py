@@ -6,7 +6,9 @@ after construction, so they can be shared freely across sweep workers.
 Every polynomial product goes through `mul_mod`, which is exact for every
 p < MAX_PRIME and every length: short products run ``np.convolve``, long
 ones a floating-point FFT on 11-bit limbs whose rounding error is bounded
-below 1/2.
+below 1/2.  The table of inverses mod p has no Python loop over p: it is
+one scatter over the powers of a primitive root, which a two-level table
+builds in about 2 sqrt(p) Python steps.
 """
 
 from __future__ import annotations
@@ -74,14 +76,60 @@ def mod_inverse(a: int, p: int) -> int:
         raise ZeroDivisionError(f"non-invertible residue {a % p} mod {p}") from None
 
 
+def primitive_root(p: int) -> int:
+    """The smallest generator g of the multiplicative group of F_p; 1 for p = 2.
+
+    g generates when g^((p - 1) / q) != 1 for every prime q dividing p - 1
+    (Shoup, A Computational Introduction to Number Theory and Algebra, on
+    finding generators).  The prime factors of p - 1 come from trial
+    division, at most isqrt(2^31) = 46,341 steps below MAX_PRIME.
+    """
+    if p == 2:
+        return 1
+    n, factors, q = p - 1, [], 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        factors.append(n)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
+        g += 1
+    return g
+
+
+def _power_table(t: int, n: int, p: int) -> np.ndarray:
+    """The int64 array of t^e mod p for 0 <= e < n, given 0 <= t < p and n >= 1.
+
+    A two-level table, t^(m i + j) = t^(m i) * t^j with m = isqrt(n - 1) + 1,
+    takes about 2 sqrt(n) Python steps; each product is < p^2 < 2^62.
+    """
+    m = isqrt(n - 1) + 1
+    low = [1]
+    for _ in range(m):
+        low.append(low[-1] * t % p)
+    high = [1]
+    for _ in range(-(-n // m) - 1):
+        high.append(high[-1] * low[m] % p)
+    return (np.array(high, dtype=np.int64)[:, None] * np.array(low[:m], dtype=np.int64) % p).ravel()[:n]
+
+
 @lru_cache(maxsize=256)
 def inverse_table(p: int) -> np.ndarray:
-    """Read-only array inv with inv[0] = 0 and inv[a] = a^-1 mod p."""
+    """Read-only int64 array inv with inv[0] = 0 and inv[a] = a^-1 mod p.
+
+    With g = primitive_root(p), the powers pw[j] = g^j for 0 <= j < p - 1
+    run once over every nonzero residue, and (g^j)^-1 = g^((-j) mod (p - 1)),
+    so one scatter inv[pw[j]] = pw[(-j) mod (p - 1)] fills the table.  pw
+    comes from _power_table in about 2 sqrt(p) Python steps, each product
+    < p^2 < 2^62; nothing else is kept.
+    """
+    pw = _power_table(primitive_root(p), p - 1, p)
     inv = np.zeros(p, dtype=np.int64)
-    if p > 1:
-        inv[1] = 1
-    for a in range(2, p):
-        inv[a] = (p - (p // a) * inv[p % a]) % p
+    inv[pw] = np.concatenate((pw[:1], pw[:0:-1]))  # pw[(-j) mod (p - 1)]
     inv.flags.writeable = False
     return inv
 
@@ -248,25 +296,15 @@ class ModPoly:
     def evaluate(self, t: int) -> int:
         """The value at t in F_p, equal to Horner's rule.
 
-        The powers t^e for e < n = len(coeffs) come from a two-level table,
-        t^(m i + j) = t^(m i) * t^j with m = ceil(sqrt n), which takes 2 m
-        Python steps; each table product is < p^2 < 2^62.  Each term
-        c_e t^e is reduced below p, so a sum of at most 2^32 of them stays
-        < 2^32 p < 2^63; longer arrays are summed in slices of 2^32.
+        The powers t^e for e < n = len(coeffs) come from _power_table in
+        about 2 sqrt(n) Python steps.  Each term c_e t^e is reduced below p,
+        so a sum of at most 2^32 of them stays < 2^32 p < 2^63; longer
+        arrays are summed in slices of 2^32.
         """
         p, n = self.p, len(self.coeffs)
         if n == 0:
             return 0
-        t %= p
-        m = isqrt(n - 1) + 1
-        low = [1]
-        for _ in range(m):
-            low.append(low[-1] * t % p)
-        high = [1]
-        for _ in range(-(-n // m) - 1):
-            high.append(high[-1] * low[m] % p)
-        powers = (np.array(high)[:, None] * np.array(low[:m]) % p).ravel()[:n]
-        terms = self.coeffs * powers % p
+        terms = self.coeffs * _power_table(t % p, n, p) % p
         return sum(int(terms[i : i + (1 << 32)].sum()) for i in range(0, n, 1 << 32)) % p
 
     def __str__(self) -> str:

@@ -163,12 +163,14 @@ def grouped_index(phi: Surjection, k: Index) -> Index:
     return Index(tuple(sum(k[j - 1] for j in fiber) for fiber in phi.fibers()))
 
 
+@lru_cache(maxsize=None)
 def variant_expansion(i: int, k: Index) -> FormalSum:
     """Expand the i-th zeta variant of k into ordinary zeta arguments.
 
     One unit term per level map in the beta class i of size dep(k), with
     the index collapsed along its fibers.  Every resulting index keeps the
-    weight of k.
+    weight of k.  The expansion does not depend on p and FormalSum is
+    immutable, so it is cached by (i, k) for a sweep's every prime.
     """
     r = k.depth
     if r < 1:

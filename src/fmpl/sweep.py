@@ -4,12 +4,14 @@ A check is one entry of CHECKS: its identities function, its parameters
 with their types, their validation and, where the identity is claimed only
 above a prime bound, that bound.  The CLI builds each ``verify`` command
 from the same entry.  A sweep runs one named check with fixed parameters
-over every prime in an inclusive range.  Workers receive immutable (check,
-params, prime) task descriptors; results are merged into a report ordered
-by prime.  A prime where a rational coefficient loses meaning, or one
-outside the domain where the check's identity is claimed, is recorded as a
-skip with its reason, never silently dropped, so a sweep verdict is always
-"pass with exception set".
+over every prime in an inclusive range.  A pool of workers receives the
+primes in chunks, largest primes first, as immutable (check, params,
+primes) task descriptors, one task per chunk; results are merged into a
+report ordered by prime, and an interrupted sweep keeps the outcomes of
+the chunks whose results came back.  A prime where a rational coefficient
+loses meaning, or one outside the domain where the check's identity is
+claimed, is recorded as a skip with its reason, never silently dropped,
+so a sweep verdict is always "pass with exception set".
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import io
 import json
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -194,6 +196,16 @@ def run_one(check: str, params: dict, p: int) -> PrimeOutcome:
     return PrimeOutcome(p, FAIL, result.detail)
 
 
+def _run_chunk(check: str, params: dict, primes: list[int]) -> list[PrimeOutcome]:
+    """Run one check at each prime of a chunk, in order; one pool task."""
+    return [run_one(check, params, p) for p in primes]
+
+
+# Chunks per worker in a pooled sweep: enough that the last chunks to finish
+# are short, few enough that dispatch stays a small fixed cost.
+CHUNKS_PER_WORKER = 8
+
+
 def run_sweep(
     check: str,
     params: dict,
@@ -204,9 +216,14 @@ def run_sweep(
     """Run one check over all primes in [prime_from, prime_to].
 
     The parameters are validated once, before any prime runs.  With jobs > 1
-    the tasks go to a pool of min(jobs, primes, cores) processes; on
-    interruption the unfinished primes are recorded as skips so the report
-    still covers the requested range.
+    the tasks go to a pool of min(jobs, primes, cores) processes.  The
+    primes, largest first, are dealt in turn into at most CHUNKS_PER_WORKER
+    chunks per worker, so each chunk mixes large and small primes, the
+    largest start first, and the pool takes one task per chunk.  The report
+    lists the primes in ascending order either way.  On interruption the
+    unfinished primes are recorded as skips, so the report still covers the
+    requested range: run alone, each prime that finished keeps its outcome;
+    in a pool, each prime of a chunk whose results came back does.
     """
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
@@ -222,13 +239,12 @@ def run_sweep(
             for p in primes:
                 outcomes[p] = run_one(check, params, p)
         else:
+            largest_first = primes[::-1]
+            n_chunks = min(len(primes), CHUNKS_PER_WORKER * workers)
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {pool.submit(run_one, check, params, p): p for p in primes}
-                pending = set(futures)
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        outcome = fut.result()
+                futures = [pool.submit(_run_chunk, check, params, largest_first[i::n_chunks]) for i in range(n_chunks)]
+                for fut in as_completed(futures):
+                    for outcome in fut.result():
                         outcomes[outcome.p] = outcome
     except KeyboardInterrupt:
         for p in primes:

@@ -34,6 +34,11 @@ class Index:
     def __post_init__(self):
         if any(not isinstance(k, int) or k < 1 for k in self.parts):
             raise ValueError(f"index parts must be positive integers: {self.parts}")
+        # the generated dataclass hash, hash((parts,)), computed once
+        object.__setattr__(self, "_hash", hash((self.parts,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, *parts: int) -> "Index":

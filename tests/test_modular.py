@@ -14,6 +14,7 @@ from fmpl.modular import (
     mod_inverse,
     mul_mod,
     primes_in_range,
+    primitive_root,
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 101]
@@ -57,6 +58,54 @@ def test_inverse_table_matches_scalar(p):
     table = inverse_table(p)
     assert table[0] == 0
     assert all(table[a] == mod_inverse(a, p) for a in range(1, p))
+
+
+def _assert_inverse_table(p):
+    table = inverse_table(p)
+    assert table.dtype == np.int64 and table.shape == (p,)
+    assert not table.flags.writeable
+    assert table[0] == 0
+    assert np.all(table[1:] * np.arange(1, p) % p == 1)
+
+
+def test_inverse_table_every_prime_below_20000():
+    for p in primes_in_range(2, 20000):
+        _assert_inverse_table(p)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 10**7))
+def test_inverse_table_sampled_primes(n):
+    while not is_prime(n):
+        n -= 1
+    _assert_inverse_table(n)
+
+
+def test_inverse_table_smallest_primes():
+    assert primitive_root(2) == 1 and primitive_root(3) == 2
+    assert inverse_table(2).tolist() == [0, 1]
+    assert inverse_table(3).tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "p, factors",
+    [
+        (2**31 - 1, (2, 3, 7, 11, 31, 151, 331)),  # its least primitive root is 7
+        (2147483629, (2, 3, 59652323)),  # the next prime below it
+        (2147483579, (2, 1073741789)),  # a safe prime, (p - 1) / 2 prime
+    ],
+)
+def test_primitive_root_has_order_p_minus_1(p, factors):
+    n = p - 1
+    for q in factors:
+        assert is_prime(q) and n % q == 0
+        while n % q == 0:
+            n //= q
+    assert n == 1, "factors must list every prime factor of p - 1"
+    g = primitive_root(p)
+    assert pow(g, p - 1, p) == 1
+    assert all(pow(g, (p - 1) // q, p) != 1 for q in factors)
+    assert all(any(pow(h, (p - 1) // q, p) == 1 for q in factors) for h in range(2, g))
 
 
 def test_poly_trailing_zeros_trimmed():

@@ -164,12 +164,19 @@ def test_variant_expansion_depth2():
 
 
 def test_variant_expansion_argument_errors():
-    with pytest.raises(ValueError):
-        variant_expansion(1, EMPTY)
-    with pytest.raises(ValueError):
-        variant_expansion(3, I(1, 2))
-    with pytest.raises(ValueError):
-        variant_expansion(0, I(1, 2))
+    for _ in range(2):  # an error is raised on every call, not cached
+        with pytest.raises(ValueError):
+            variant_expansion(1, EMPTY)
+        with pytest.raises(ValueError):
+            variant_expansion(3, I(1, 2))
+        with pytest.raises(ValueError):
+            variant_expansion(0, I(1, 2))
+
+
+def test_variant_expansion_is_cached_by_band_and_index():
+    first = variant_expansion(2, I(1, 2, 1, 1))
+    assert variant_expansion(2, Index((1, 2, 1, 1))) is first
+    assert variant_expansion(3, I(1, 2, 1, 1)) is not first
 
 
 @pytest.mark.parametrize("ks", [(1, 2, 4), (1, 1, 1), (2, 1, 1), (3, 1, 2)])

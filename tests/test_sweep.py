@@ -1,14 +1,16 @@
 import csv
 import dataclasses
+import functools
 import io
 import json
-from concurrent.futures import Future
+import multiprocessing
+from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
 
 from fmpl import sweep
-from fmpl.identities import CheckResult, ExceptionalPrimeError
+from fmpl.identities import CheckResult, ExceptionalPrimeError, verify_stuffle
 from fmpl.modular import primes_in_range
 from fmpl.surjections import MAX_R
 from fmpl.sweep import CHECKS, Check, PrimeOutcome, SweepReport, run_one, run_sweep
@@ -174,6 +176,50 @@ def test_parallel_sweep_matches_serial():
     serial = run_sweep("stuffle", {"l": I(1, 1), "r": I(2)}, 5, 40, jobs=1)
     parallel = run_sweep("stuffle", {"l": I(1, 1), "r": I(2)}, 5, 40, jobs=2)
     assert [(r.p, r.status) for r in serial.results] == [(r.p, r.status) for r in parallel.results]
+
+
+def test_chunked_pool_sweep_matches_serial(monkeypatch):
+    # forked workers see the planted entry whatever the platform's default start method
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+
+    def planted(l, r, p):
+        return CheckResult(False, "planted") if p == 211 else verify_stuffle(l, r, p)
+
+    monkeypatch.setitem(CHECKS, "planted-stuffle", dataclasses.replace(CHECKS["stuffle"], run=planted))
+    params = {"l": I(1, 1), "r": I(2)}
+    serial = run_sweep("planted-stuffle", params, 5, 400, jobs=1).to_json_dict()
+    parallel = run_sweep("planted-stuffle", params, 5, 400, jobs=2).to_json_dict()
+    serial.pop("duration_ms")
+    parallel.pop("duration_ms")
+    assert parallel == serial
+    assert serial["summary"] == {"pass": 75, "fail": 1, "skip": 0}
+
+
+class _RecordingPool(_InlinePool):
+    """An inline pool that also records the primes of each task it is sent."""
+
+    chunks: list = []
+
+    def submit(self, fn, *args):
+        self.chunks.append(args[-1])
+        return super().submit(fn, *args)
+
+
+@pytest.mark.parametrize("prime_to", [30, 2000, 20000])
+def test_pool_gets_few_chunks_largest_prime_first(monkeypatch, prime_to):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "chunks", [])
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
+    monkeypatch.setitem(CHECKS, "trivial", Check(lambda p: CheckResult(True), ()))
+    report = run_sweep("trivial", {}, 5, prime_to, jobs=3)
+    primes = primes_in_range(5, prime_to)
+    assert _RecordingPool.sizes == [3]
+    assert len(_RecordingPool.chunks) <= sweep.CHUNKS_PER_WORKER * 3
+    assert max(primes) in _RecordingPool.chunks[0]
+    assert sorted(p for chunk in _RecordingPool.chunks for p in chunk) == primes
+    assert [r.p for r in report.results] == primes
 
 
 def test_bijection_detail_lines():

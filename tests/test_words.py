@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from math import comb
 
@@ -46,6 +47,14 @@ def test_index_parse_round_trip():
     assert EMPTY.text() == "-"
     with pytest.raises(ValueError):
         Index.parse("2,x")
+
+
+def test_index_hash_is_the_dataclass_hash_and_survives_pickling():
+    k = I(2, 1, 3)
+    assert hash(k) == hash(((2, 1, 3),)) and hash(EMPTY) == hash(((),))
+    copy = pickle.loads(pickle.dumps(k))
+    assert copy == k and hash(copy) == hash(k) and repr(copy) == "Index(parts=(2, 1, 3))"
+    assert {k: 1}[copy] == 1
 
 
 def test_index_ordering_is_lexicographic():
