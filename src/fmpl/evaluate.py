@@ -28,6 +28,15 @@ over their prefix trie, runs one window step per trie node, and holds only
 the tables of the current path.  The zeta and li families differ in one
 thing only, the table length: zeta's tables are cut at p.
 
+The per-prime tables (inverse powers, final stage tables, and the values
+of eval_zeta, eval_fmp and eval_fmp_triple) are memoized by
+modular.per_prime_cache, with p as the last argument: the prime in use
+keeps all of its tables, and other primes keep theirs only while together
+they stay under modular.PRIME_CACHE_BYTES, so a sweep over a wide range
+holds a bounded amount of memory while checks that return to a few primes
+still hit.  The sizes are counted in bytes, not entries, because each
+table grows with p.
+
 All arithmetic is exact: int64 modular arithmetic, plus mul_mod's product,
 which is exact at every p < MAX_PRIME and every length.  The naive
 brute-force oracles at the bottom recompute small cases by literal nested
@@ -43,15 +52,15 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .modular import ModPoly, ensure_prime, inverse_table, mul_mod
+from .modular import ModPoly, ensure_prime, inverse_table, mul_mod, per_prime_cache
 from .words import Index
 
 BRUTE_FORCE_MAX_DEPTH = 4
 BRUTE_FORCE_MAX_PRIME = 31
 
 
-@lru_cache(maxsize=1024)
-def _inv_powers(p: int, k: int) -> np.ndarray:
+@per_prime_cache
+def _inv_powers(k: int, p: int) -> np.ndarray:
     """Table t -> inv(t)^k mod p for residues t, with entry 0 at t = 0."""
     inv = inverse_table(p)
     out = np.ones(p, dtype=np.int64)
@@ -89,7 +98,7 @@ def _window_step(prev: np.ndarray, p: int, k: int, length: int) -> np.ndarray:
     d[1 : len(prev) + 1] = prev[: len(d) - 1]
     d[p : p + len(prev)] -= prev[: len(d) - p]
     grid = d.cumsum().reshape(rows, p) % p
-    grid *= _inv_powers(p, k)
+    grid *= _inv_powers(k, p)
     grid %= p
     return grid.ravel()[:length]
 
@@ -121,7 +130,7 @@ def prefix_tables(
         del path[common + 1 :]
         for j in range(common, k.depth):
             if j == 0:
-                path.append(_inv_powers(p, k[0]))
+                path.append(_inv_powers(k[0], p))
                 continue
             length = (j + 1) * (p - 1) + 1
             table = _window_step(path[-1], p, k[j], length if cap is None else min(length, cap))
@@ -167,7 +176,7 @@ def partial_sum_table(k: Index, p: int) -> PartialSumTable:
     ensure_prime(p)
     if k.depth < 1:
         raise ValueError("partial-sum table needs a nonempty index")
-    vals = _inv_powers(p, k[0]).copy()
+    vals = _inv_powers(k[0], p).copy()
     vals.flags.writeable = False
     table = PartialSumTable(p, 1, vals)
     for kj in k[1:]:
@@ -175,19 +184,19 @@ def partial_sum_table(k: Index, p: int) -> PartialSumTable:
     return table
 
 
-@lru_cache(maxsize=4096)
+@per_prime_cache
 def eval_zeta(k: Index, p: int) -> int:
     """The truncated multiple harmonic sum mod p; 1 for the empty index."""
     ensure_prime(p)
     return zeta_values((k,), p)[k]
 
 
-@lru_cache(maxsize=4096)
+@per_prime_cache
 def _final_table(k: Index, p: int) -> np.ndarray:
     return partial_sum_table(k, p).values
 
 
-@lru_cache(maxsize=4096)
+@per_prime_cache
 def eval_fmp(k: Index, p: int) -> ModPoly:
     """The polynomial sum of T^(last partial sum) / prod L_i^{k_i} in F_p[T]."""
     ensure_prime(p)
@@ -208,7 +217,7 @@ def eval_zeta_variant(i: int, k: Index, p: int) -> int:
     return int(vals[(i - 1) * p + 1 : i * p].sum() % p)
 
 
-@lru_cache(maxsize=1024)
+@per_prime_cache
 def eval_fmp_triple(lam: Index, mu: Index, nu: Index, p: int) -> ModPoly:
     """The three-block polynomial interpolating between li and a product.
 

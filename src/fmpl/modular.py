@@ -9,13 +9,25 @@ ones a floating-point FFT on 11-bit limbs whose rounding error is bounded
 below 1/2.  The table of inverses mod p has no Python loop over p: it is
 one scatter over the powers of a primitive root, which a two-level table
 builds in about 2 sqrt(p) Python steps.
+
+Tables that depend on a prime (the inverse table here, and evaluate's
+inverse-power, stage and polynomial tables) are memoized by
+`per_prime_cache` in one memo keyed first by the prime.  A sweep visits
+each prime once, and a table's size grows with p, so a bound on the number
+of entries would let memory grow with the prime range; the memo is bounded
+in bytes instead.  The tables of the prime in use are always kept; those of
+other primes stay while together they hold at most PRIME_CACHE_BYTES, and
+past that whole primes are dropped, least recently used first, so checks
+that switch between a few primes keep their hits.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import OrderedDict, namedtuple
+from functools import lru_cache, wraps
+from itertools import compress
 from math import isqrt
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -53,15 +65,26 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, ascending."""
-    if hi < lo or hi < 2:
+    """All primes p with lo <= p <= hi, ascending.
+
+    A segmented sieve: only [max(lo, 2), hi] is sieved, by striking the
+    multiples of the base primes q <= isqrt(hi), which come from a sieve of
+    isqrt(hi) + 1 bytes.  Memory follows the width of the range, not hi.
+    """
+    lo = max(lo, 2)
+    if hi < lo:
         return []
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for q in range(2, int(hi**0.5) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = b"\x00" * len(sieve[q * q :: q])
-    return [n for n in range(max(lo, 2), hi + 1) if sieve[n]]
+    root = isqrt(hi)
+    base = bytearray([1]) * (root + 1)
+    base[:2] = b"\x00\x00"
+    for q in range(2, isqrt(root) + 1):
+        if base[q]:
+            base[q * q :: q] = bytes(len(range(q * q, root + 1, q)))
+    segment = bytearray([1]) * (hi - lo + 1)
+    for q in compress(range(root + 1), base):
+        start = max(q * q, -(-lo // q) * q)
+        segment[start - lo :: q] = bytes(len(range(start, hi + 1, q)))
+    return list(compress(range(lo, hi + 1), segment))
 
 
 def mod_inverse(a: int, p: int) -> int:
@@ -117,7 +140,128 @@ def _power_table(t: int, n: int, p: int) -> np.ndarray:
     return (np.array(high, dtype=np.int64)[:, None] * np.array(low[:m], dtype=np.int64) % p).ravel()[:n]
 
 
-@lru_cache(maxsize=256)
+# Bytes that the cached tables of primes other than the one in use may hold
+# together before whole primes are dropped, least recently used first.
+PRIME_CACHE_BYTES = 8 << 20
+# What a cached value that is neither an array nor a ModPoly counts for.
+SMALL_VALUE_BYTES = 64
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _value_nbytes(value) -> int:
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, ModPoly):
+        return value.coeffs.nbytes
+    return SMALL_VALUE_BYTES
+
+
+class _PrimeTables:
+    """The memo behind per_prime_cache.
+
+    ``by_prime`` maps each prime, least recently used first, to its entries
+    {(function, args): value}; ``nbytes`` holds each prime's total size.
+    ``entries`` is the dict of the prime in use, which is last in
+    ``by_prime`` once it holds anything.
+    """
+
+    def __init__(self):
+        self.by_prime: OrderedDict[int, dict] = OrderedDict()
+        self.nbytes: dict[int, int] = {}
+        self.total = 0
+        self.current = None
+        self.entries: dict = {}
+
+    def enter(self, p: int) -> None:
+        """Make p the prime in use, and drop other primes past the bound."""
+        self.current = p
+        if p in self.by_prime:
+            self.by_prime.move_to_end(p)
+            self.entries = self.by_prime[p]
+        else:
+            self.entries = {}
+        kept = self.nbytes.get(p, 0)
+        while self.total - kept > PRIME_CACHE_BYTES:
+            dropped, _ = self.by_prime.popitem(last=False)
+            self.total -= self.nbytes.pop(dropped)
+
+    def store(self, key: tuple, value) -> None:
+        """Add an entry for the prime in use."""
+        if self.current not in self.by_prime:
+            self.by_prime[self.current] = self.entries
+            self.nbytes[self.current] = 0
+        size = _value_nbytes(value)
+        self.entries[key] = value
+        self.nbytes[self.current] += size
+        self.total += size
+
+    def keys_of(self, fn: Callable) -> list[tuple[int, tuple]]:
+        return [(p, key) for p, entries in self.by_prime.items() for key in entries if key[0] is fn]
+
+    def drop(self, fn: Callable) -> None:
+        """Remove fn's entries at every prime."""
+        for p, key in self.keys_of(fn):
+            size = _value_nbytes(self.by_prime[p].pop(key))
+            self.nbytes[p] -= size
+            self.total -= size
+            if not self.by_prime[p]:
+                del self.by_prime[p], self.nbytes[p]
+
+
+_TABLES = _PrimeTables()
+_MISSING = object()
+
+
+def per_prime_cache(fn: Callable) -> Callable:
+    """Memoize fn, whose last positional argument is the prime p, in the per-prime memo.
+
+    All decorated functions share one memo keyed by p, then by (fn, the
+    arguments).  The prime of the latest call is the prime in use, whose
+    tables are always kept, however large.  Tables of other primes are kept
+    while their total size is at most PRIME_CACHE_BYTES; past it, whole
+    primes are dropped, least recently used first.  The bound is in bytes
+    because a table's size grows with p: an entry count would keep more
+    memory the larger the primes get.  An array counts its nbytes, a
+    ModPoly its coefficients' nbytes, any other value SMALL_VALUE_BYTES.
+    A call that raises caches nothing.  As with lru_cache, the wrapper has
+    cache_info(), counting this function's hits and misses and its entries
+    in currsize (maxsize is None), and cache_clear(), which removes this
+    function's entries and counts only.
+    """
+    hits = misses = 0
+
+    @wraps(fn)
+    def wrapper(*args):
+        nonlocal hits, misses
+        tables, p, key = _TABLES, args[-1], (fn, args)
+        if p != tables.current:
+            tables.enter(p)
+        value = tables.entries.get(key, _MISSING)
+        if value is not _MISSING:
+            hits += 1
+            return value
+        misses += 1
+        value = fn(*args)
+        if p != tables.current:
+            tables.enter(p)
+        tables.store(key, value)
+        return value
+
+    def cache_info() -> CacheInfo:
+        return CacheInfo(hits, misses, None, len(_TABLES.keys_of(fn)))
+
+    def cache_clear() -> None:
+        nonlocal hits, misses
+        hits = misses = 0
+        _TABLES.drop(fn)
+
+    wrapper.cache_info = cache_info
+    wrapper.cache_clear = cache_clear
+    return wrapper
+
+
+@per_prime_cache
 def inverse_table(p: int) -> np.ndarray:
     """Read-only int64 array inv with inv[0] = 0 and inv[a] = a^-1 mod p.
 

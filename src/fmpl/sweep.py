@@ -223,7 +223,8 @@ def run_sweep(
     lists the primes in ascending order either way.  On interruption the
     unfinished primes are recorded as skips, so the report still covers the
     requested range: run alone, each prime that finished keeps its outcome;
-    in a pool, each prime of a chunk whose results came back does.
+    in a pool, each prime of a chunk whose results came back does, and the
+    chunks still queued are cancelled rather than run.
     """
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
@@ -242,10 +243,14 @@ def run_sweep(
             largest_first = primes[::-1]
             n_chunks = min(len(primes), CHUNKS_PER_WORKER * workers)
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_chunk, check, params, largest_first[i::n_chunks]) for i in range(n_chunks)]
-                for fut in as_completed(futures):
-                    for outcome in fut.result():
-                        outcomes[outcome.p] = outcome
+                try:
+                    futures = [pool.submit(_run_chunk, check, params, largest_first[i::n_chunks]) for i in range(n_chunks)]
+                    for fut in as_completed(futures):
+                        for outcome in fut.result():
+                            outcomes[outcome.p] = outcome
+                except KeyboardInterrupt:
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    raise
     except KeyboardInterrupt:
         for p in primes:
             outcomes.setdefault(p, PrimeOutcome(p, SKIP, "interrupted"))

@@ -1,9 +1,13 @@
+from functools import lru_cache
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmpl import modular
+from fmpl.evaluate import eval_fmp, eval_fmp_triple, eval_zeta, eval_zeta_variant
 from fmpl.modular import (
     FFT_MAX_LEN,
     FFT_MIN_LEN,
@@ -13,9 +17,14 @@ from fmpl.modular import (
     is_prime,
     mod_inverse,
     mul_mod,
+    per_prime_cache,
     primes_in_range,
     primitive_root,
 )
+from fmpl.sweep import run_sweep
+from fmpl.words import Index
+
+I = Index.of
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 101]
 
@@ -30,6 +39,35 @@ def test_primes_in_range():
     assert primes_in_range(5, 20) == [5, 7, 11, 13, 17, 19]
     assert primes_in_range(8, 10) == []
     assert primes_in_range(2, 2) == [2]
+
+
+def test_primes_in_range_edges():
+    assert primes_in_range(20, 5) == [] and primes_in_range(3, 2) == []
+    assert primes_in_range(-10, 1) == [] and primes_in_range(0, 0) == []
+    assert primes_in_range(-10, 2) == [2] and primes_in_range(0, 12) == [2, 3, 5, 7, 11]
+    assert primes_in_range(3, 3) == [3] and primes_in_range(4, 4) == []
+
+
+def test_primes_in_range_at_the_top_of_the_supported_range():
+    lo, hi = 2**31 - 2000, 2**31 - 1
+    assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
+
+
+@lru_cache(maxsize=None)
+def _full_sieve(hi: int) -> bytes:
+    sieve = bytearray([1]) * (hi + 1)
+    sieve[0:2] = b"\x00\x00"
+    for q in range(2, isqrt(hi) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = b"\x00" * len(sieve[q * q :: q])
+    return bytes(sieve)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-5, 10**5), st.integers(-5, 10**5))
+def test_segmented_sieve_matches_a_full_sieve(lo, hi):
+    sieve = _full_sieve(10**5)
+    assert primes_in_range(lo, hi) == [n for n in range(max(lo, 0), hi + 1) if sieve[n]]
 
 
 def test_mod_inverse_examples():
@@ -291,3 +329,123 @@ def test_evaluate_zero_and_long():
     f = ModPoly(p, np.full(10007, p - 1, dtype=np.int64))
     for t in (0, 1, 2, p - 1, 12345):
         assert f.evaluate(t) == _horner(f, t), t
+
+
+# -- the per-prime memo ------------------------------------------------------
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """A fresh, empty per-prime memo for the test."""
+    monkeypatch.setattr(modular, "_TABLES", modular._PrimeTables())
+    return modular._TABLES
+
+
+@per_prime_cache
+def _table(kind, n, p):
+    """A value of n entries cached at p: an int64 array, a ModPoly, or else the int n."""
+    if kind == "array":
+        table = np.zeros(n, dtype=np.int64)
+        table.flags.writeable = False
+        return table
+    if kind == "poly":
+        return ModPoly(p, [1] * n)
+    return n
+
+
+@per_prime_cache
+def _other(n, p):
+    return n
+
+
+def test_prime_in_use_is_kept_whatever_its_size(memo, monkeypatch):
+    monkeypatch.setattr(modular, "PRIME_CACHE_BYTES", 8000)
+    _table("array", 1000, 5)  # 8,000 bytes: 5 stays when 7 is in use
+    _table("int", 0, 7)
+    _table("poly", 2000, 5)  # 5 is in use again and now holds 24,000 bytes
+    assert list(memo.by_prime) == [7, 5] and memo.nbytes == {7: modular.SMALL_VALUE_BYTES, 5: 24000}
+    hits = _table.cache_info().hits
+    assert _table("array", 1000, 5) is _table("array", 1000, 5)
+    assert _table("poly", 2000, 5) is _table("poly", 2000, 5)
+    assert _table.cache_info().hits == hits + 4
+    _table("int", 0, 7)  # 7 is in use; 5's tables pass the bound and go
+    assert list(memo.by_prime) == [7]
+
+
+def test_other_primes_are_dropped_whole_least_recently_used_first(memo, monkeypatch):
+    monkeypatch.setattr(modular, "PRIME_CACHE_BYTES", 2 * 800)
+    for p in (2, 3, 5):
+        _table("array", 50, p)  # two tables of 400 bytes at each prime
+        _table("poly", 50, p)
+    assert list(memo.by_prime) == [2, 3, 5]
+    _table("array", 50, 2)  # a hit makes 2 the prime in use and the most recent
+    assert list(memo.by_prime) == [3, 5, 2]
+    _table("array", 50, 7)  # 3, 5 and 2 hold 2,400 bytes: 3 goes, both its tables
+    assert list(memo.by_prime) == [5, 2, 7]
+    assert memo.nbytes == {5: 800, 2: 800, 7: 400} and memo.total == 2000
+    misses = _table.cache_info().misses
+    _table("poly", 50, 3)
+    assert _table.cache_info().misses == misses + 1
+
+
+@pytest.mark.parametrize("kind, size", [("array", 80), ("poly", 80), ("int", modular.SMALL_VALUE_BYTES)])
+def test_entries_are_sized_in_bytes(monkeypatch, kind, size):
+    # a prime not in use is kept at a bound of its size, dropped one byte below
+    for bound, kept in ((size, [5, 7]), (size - 1, [7])):
+        monkeypatch.setattr(modular, "_TABLES", modular._PrimeTables())
+        monkeypatch.setattr(modular, "PRIME_CACHE_BYTES", bound)
+        _table(kind, 10, 5)
+        _other(0, 7)
+        assert list(modular._TABLES.by_prime) == kept
+
+
+def test_cache_info_and_cache_clear_are_per_function(memo):
+    _table.cache_clear()
+    _other.cache_clear()
+    _table("int", 3, 5)
+    _table("int", 3, 5)
+    _table("int", 3, 7)
+    _other(1, 5)
+    assert _table.cache_info() == modular.CacheInfo(1, 2, None, 2)
+    assert _other.cache_info() == modular.CacheInfo(0, 1, None, 1)
+    _table.cache_clear()
+    assert _table.cache_info() == modular.CacheInfo(0, 0, None, 0)
+    assert _other.cache_info() == modular.CacheInfo(0, 1, None, 1)
+    assert memo.nbytes == {5: modular.SMALL_VALUE_BYTES} and list(memo.by_prime) == [5]
+    _other(1, 5)
+    assert _other.cache_info() == modular.CacheInfo(1, 1, None, 1)
+
+
+def test_composite_modulus_raises_on_every_call(memo):
+    for _ in range(3):
+        for n in (4, 561, 2**31 - 2):
+            with pytest.raises(ValueError, match="not a prime"):
+                eval_fmp(I(1, 2), n)
+            with pytest.raises(ValueError, match="not a prime"):
+                eval_zeta(I(2), n)
+            with pytest.raises(ValueError, match="not a prime"):
+                eval_fmp_triple(I(1), I(2), I(1), n)
+    assert memo.total == 0 and not memo.by_prime
+
+
+def _values_and_sweeps(primes):
+    """Every evaluator's values over a small grid, the primes innermost, and two sweeps."""
+    indices = [I(), I(1), I(2), I(1, 2), I(2, 1, 1), I(1, 2, 1)]
+    values = []
+    for k in indices:
+        for p in primes:
+            values.append((eval_zeta(k, p), eval_fmp(k, p).coeffs.tobytes()))
+            values.extend(eval_zeta_variant(i, k, p) for i in range(1, k.depth + 1))
+            values.append(eval_fmp_triple(k, I(1), I(2), p).coeffs.tobytes())
+    for check, params in (("stuffle", {"l": I(1, 1), "r": I(2)}), ("prop24", {"i": 2, "k": I(1, 2, 1)})):
+        report = run_sweep(check, params, 5, 400, jobs=1).to_json_dict()
+        report.pop("duration_ms")
+        values.append(report)
+    return values
+
+
+def test_values_do_not_depend_on_the_bound(monkeypatch):
+    primes = (5, 7, 11, 101, 1009, 7)
+    cached = _values_and_sweeps(primes)
+    monkeypatch.setattr(modular, "PRIME_CACHE_BYTES", 0)
+    assert _values_and_sweeps(primes) == cached

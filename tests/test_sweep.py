@@ -1,15 +1,17 @@
 import csv
 import dataclasses
 import functools
+import gc
 import io
 import json
 import multiprocessing
+import tracemalloc
 from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
 
-from fmpl import sweep
+from fmpl import modular, sweep
 from fmpl.identities import CheckResult, ExceptionalPrimeError, verify_stuffle
 from fmpl.modular import primes_in_range
 from fmpl.surjections import MAX_R
@@ -251,3 +253,66 @@ def test_interrupt_produces_partial_report(monkeypatch):
     assert statuses[5] == "pass" and statuses[7] == "pass"
     assert statuses[11] == "skip" and statuses[13] == "skip"
     assert all(r.detail == "interrupted" for r in report.results if r.status == "skip")
+
+
+class _CtrlCPool(_RecordingPool):
+    """A recording inline pool where reading the second result raises KeyboardInterrupt, as Ctrl-C would."""
+
+    shutdowns: list = []
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        self.reads = 0
+
+    def submit(self, fn, *args):
+        future = super().submit(fn, *args)
+        read = future.result
+
+        def result(timeout=None):
+            self.reads += 1
+            if self.reads == 2:
+                raise KeyboardInterrupt
+            return read(timeout)
+
+        future.result = result
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdowns.append((wait, cancel_futures))
+
+    def __exit__(self, *exc):
+        self.shutdown(wait=True)
+        return False
+
+
+def test_interrupted_pool_cancels_queued_chunks(monkeypatch):
+    from fmpl.sweep import SweepInterrupted
+
+    for name in ("sizes", "chunks", "shutdowns"):
+        monkeypatch.setattr(_CtrlCPool, name, [])
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _CtrlCPool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+    monkeypatch.setitem(CHECKS, "trivial", Check(lambda p: CheckResult(True), ()))
+    with pytest.raises(SweepInterrupted) as exc:
+        run_sweep("trivial", {}, 5, 200, jobs=2)
+    # the pool is told to drop its queued chunks, without waiting, before the block exits
+    assert _CtrlCPool.shutdowns[0] == (False, True)
+    report = exc.value.report
+    assert [r.p for r in report.results] == primes_in_range(5, 200)
+    passed = sorted(r.p for r in report.results if r.status == "pass")
+    assert passed in [sorted(chunk) for chunk in _CtrlCPool.chunks]
+    assert all(r.detail == "interrupted" for r in report.results if r.status == "skip")
+
+
+def test_long_sweep_holds_at_most_the_cache_bound():
+    # each prime's tables are dropped once the cached primes pass the bound,
+    # so what a sweep leaves behind does not grow with its prime range
+    tracemalloc.start()
+    try:
+        report = run_sweep("prop24", {"i": 2, "k": I(1, 2, 1)}, 5, 3000, jobs=1)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert report.summary == {"pass": 428, "fail": 0, "skip": 0}
+    assert held < modular.PRIME_CACHE_BYTES + 2 * 2**20
