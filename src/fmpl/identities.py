@@ -20,14 +20,19 @@ read in li's orientation: li puts k_1 on the innermost partial sum L_1,
 so the pure part is the reversed image rev(shuffle(rev k, rev k')) of
 words.shuffle, e.g. li_1 * li_2 = li_{2,1} + 2 li_{1,2} + zeta(3) T^p.
 
-eval_expression takes an expression to its polynomial in one pass: every
-distinct zeta value comes from one prefix-trie walk (evaluate.zeta_values),
-the terms fold into one scalar per (li index, T-power) pair, and only the
-pairs with a nonzero scalar get an li table, from a second trie walk.  Each
-table times its scalar is added into one int64 accumulator at offset
-p * tpow and reduced at once: the accumulator's entries stay below p and
-each product below (p - 1)^2, so no sum reaches p^2 < 2^62.  verify_eq7's
-right side is summed in the same accumulator.
+eval_expression takes an expression to its polynomial from a plan that is
+built once per expression and cached (_plan): the prefix tries of its
+distinct zeta and li indices (evaluate.PrefixTrie), its distinct
+coefficients, and for each term its zeta leaf, its coefficient and its
+(li index, T-power) group.  Per prime, the distinct coefficients are
+reduced once, one walk of the zeta trie gives every zeta value, and each
+term c * zeta, reduced below p, is summed into its group's scalar by one
+np.add.reduceat: a sum of at most n_terms values < p, exact while
+n_terms * p < 2^63.  Only the li indices with a nonzero scalar are walked,
+and each table times its scalar is added into one int64 accumulator at
+offset p * tpow and reduced at once: the accumulator's entries stay below
+p and each product below (p - 1)^2, so no sum reaches p^2 < 2^62.
+verify_eq7's right side is summed in the same accumulator.
 
 The verify_* functions compare two independently computed F_p (or
 F_p[T]) values and report the first difference.
@@ -35,7 +40,6 @@ F_p[T]) values and report the first difference.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,8 +48,17 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .evaluate import eval_fmp, eval_fmp_triple, eval_zeta, eval_zeta_variant, prefix_tables, zeta_values
-from .modular import ModPoly, ensure_prime, inverse_table, mod_inverse
+from .evaluate import (
+    PrefixTrie,
+    eval_fmp,
+    eval_fmp_triple,
+    eval_zeta,
+    eval_zeta_variant,
+    walk,
+    zeta_sums,
+    zeta_values,
+)
+from .modular import ModPoly, ensure_prime, inverse_table, mod_inverse, reduce_mod
 from .surjections import variant_expansion
 from .words import EMPTY, FormalSum, Index, Rational, concat, shuffle, star, stuffle
 
@@ -91,7 +104,7 @@ class CorrectionTerm:
 class CorrectionExpression:
     """A canonical finite sum of generators (sorted, merged, zero-free)."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Iterable[CorrectionTerm] = ()):
         merged: dict[tuple, CorrectionTerm] = {}
@@ -104,9 +117,14 @@ class CorrectionExpression:
             else:
                 merged.pop(key, None)
         object.__setattr__(self, "_terms", tuple(merged[k] for k in sorted(merged)))
+        # hash(terms), computed once: the plan cache hashes the expression at every prime
+        object.__setattr__(self, "_hash", hash(self._terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("CorrectionExpression is immutable")
+
+    def __reduce__(self):
+        return CorrectionExpression, (self._terms,)
 
     @property
     def terms(self) -> tuple[CorrectionTerm, ...]:
@@ -121,7 +139,7 @@ class CorrectionExpression:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(self._terms)
+        return self._hash
 
     def __add__(self, other: "CorrectionExpression") -> "CorrectionExpression":
         return CorrectionExpression(self._terms + other._terms)
@@ -243,35 +261,102 @@ def _accumulate(length: int, terms: Iterable[tuple[int, int, np.ndarray]], p: in
     for scalar, offset, table in terms:
         seg = acc[offset : offset + len(table)]
         seg += table * scalar
-        seg %= p
+        reduce_mod(seg, p)
     return ModPoly(p, acc)
 
 
-def eval_expression(expr: CorrectionExpression, p: int) -> ModPoly:
-    """Evaluate a generator sum in F_p[T], in one pass over the expression.
+@dataclass(frozen=True)
+class _Plan:
+    """What eval_expression needs of an expression, at any prime.
 
-    Every coefficient is reduced first, so ExceptionalPrimeError is raised
-    for any term whose denominator p divides, even one whose zeta value is
-    0.  The zeta values come from one prefix-trie walk, the terms fold into
-    one scalar mod p per (li index, T-power), and the li tables, from a
-    second walk, are added for the nonzero scalars only.  The accumulator
-    (see _accumulate) keeps entries < p and products < (p - 1)^2, so its
-    sums stay < p^2 < 2^62.
+    The terms are ordered by group, a group being the terms that share an
+    (li index, T-power) pair; group g's terms are starts[g] to
+    starts[g + 1] - 1.  For each term, ``coef_of`` is its coefficient's
+    position in ``coefs`` (the distinct coefficients in order of first
+    appearance in the expression) and ``zeta_of`` its zeta index's leaf id
+    in the ``zeta`` trie.  For each group, ``li_of`` is its li index's leaf
+    id in the ``li`` trie and ``end`` is (tpow, li depth), which puts the
+    end of its table at p * tpow + depth * (p - 1) + 1; ``groups_of[leaf]``
+    lists each li index's groups as (g, tpow) pairs.
+    """
+
+    coefs: tuple[Fraction, ...]
+    coef_of: np.ndarray
+    zeta: PrefixTrie
+    zeta_of: np.ndarray
+    starts: np.ndarray
+    li: PrefixTrie
+    li_of: np.ndarray
+    end: np.ndarray
+    groups_of: tuple[tuple[tuple[int, int], ...], ...]
+
+
+@lru_cache(maxsize=1024)
+def _plan(expr: CorrectionExpression) -> _Plan:
+    terms = expr.terms
+    positions: dict[Fraction, int] = {}
+    coef_of = [positions.setdefault(t.coef, len(positions)) for t in terms]
+    zeta = PrefixTrie(t.zeta_index for t in terms)
+    li = PrefixTrie(t.li_index for t in terms)
+    zeta_leaf = {k: i for i, k in enumerate(zeta.indices)}
+    li_leaf = {k: i for i, k in enumerate(li.indices)}
+    keys = [(li_leaf[t.li_index], t.tpow) for t in terms]
+    order = sorted(range(len(terms)), key=keys.__getitem__)
+    starts = [n for n, i in enumerate(order) if n == 0 or keys[i] != keys[order[n - 1]]]
+    groups = [keys[order[n]] for n in starts]
+    groups_of: list[list[tuple[int, int]]] = [[] for _ in li.indices]
+    for g, (leaf, tpow) in enumerate(groups):
+        groups_of[leaf].append((g, tpow))
+    return _Plan(
+        coefs=tuple(positions),
+        coef_of=np.array([coef_of[i] for i in order], dtype=np.intp),
+        zeta=zeta,
+        zeta_of=np.array([zeta_leaf[terms[i].zeta_index] for i in order], dtype=np.intp),
+        starts=np.array(starts, dtype=np.intp),
+        li=li,
+        li_of=np.array([leaf for leaf, _ in groups], dtype=np.intp),
+        end=np.array([(tpow, li.indices[leaf].depth) for leaf, tpow in groups], dtype=np.int64).reshape(-1, 2),
+        groups_of=tuple(map(tuple, groups_of)),
+    )
+
+
+def eval_expression(expr: CorrectionExpression, p: int) -> ModPoly:
+    """Evaluate a generator sum in F_p[T], from its cached plan (see _Plan).
+
+    Each distinct coefficient is reduced once, in order of first
+    appearance, so ExceptionalPrimeError names the first term's coefficient
+    whose denominator p divides, even if that term's zeta value is 0.  The
+    zeta values come from one walk of the plan's zeta trie.  Each term
+    c * zeta is reduced below p, and np.add.reduceat sums each group's
+    terms into its scalar: a sum of at most n_terms values < p, exact while
+    n_terms * p < 2^63.  The li tables, from a walk of the li trie that
+    visits only the indices with a nonzero scalar, are added times their
+    scalars into one accumulator (see _accumulate), whose sums stay
+    < p^2 < 2^62.
     """
     ensure_prime(p)
-    coefs = [_coef_mod(t.coef, p) for t in expr.terms]
-    zeta = zeta_values((t.zeta_index for t in expr.terms), p)
-    scalars: dict[tuple[Index, int], int] = defaultdict(int)
-    for t, c in zip(expr.terms, coefs):
-        key = (t.li_index, t.tpow)
-        scalars[key] = (scalars[key] + c * zeta[t.zeta_index]) % p
-    shifts: dict[Index, list[tuple[int, int]]] = defaultdict(list)
-    for (li, n), s in scalars.items():
-        if s:
-            shifts[li].append((s, p * n))
-    length = max((off + li.depth * (p - 1) + 1 for li, pairs in shifts.items() for _, off in pairs), default=0)
-    terms = ((s, off, table) for li, table in prefix_tables(shifts, p) for s, off in shifts[li])
-    return _accumulate(length, terms, p)
+    if not expr:
+        return ModPoly.zero(p)
+    plan = _plan(expr)
+    coefs = np.array([_coef_mod(c, p) for c in plan.coefs], dtype=np.int64)
+    values = reduce_mod(coefs[plan.coef_of] * zeta_sums(plan.zeta, p)[plan.zeta_of], p)
+    scalars = reduce_mod(np.add.reduceat(values, plan.starts), p)
+    live = scalars != 0
+    if not live.any():
+        return ModPoly.zero(p)
+    need = np.zeros(len(plan.li.indices), dtype=bool)
+    need[plan.li_of[live]] = True
+    length = int((plan.end[live] @ (p, p - 1)).max()) + 1
+    s = scalars.tolist()
+
+    def terms():
+        for leaves, tables in walk(plan.li, p, need=need):
+            for leaf, table in zip(leaves.tolist(), tables):
+                for g, tpow in plan.groups_of[leaf]:
+                    if s[g]:
+                        yield s[g], p * tpow, table
+
+    return _accumulate(length, terms(), p)
 
 
 def eval_formal_sum_zeta(fs: FormalSum, p: int) -> int:

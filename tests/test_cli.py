@@ -1,9 +1,13 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fmpl
 from fmpl import sweep
 from fmpl.cli import build_parser, main
 from fmpl.identities import CheckResult
@@ -226,3 +230,20 @@ def test_index_with_zero_part_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "fmp", "-k", "0", "-p", "5"])
     assert exc.value.code == 2
+
+
+def test_verify_main_leaves_numpy_ma_unimported():
+    # np.unique without return_* flags imports numpy.ma (through
+    # np.ma.is_masked in numpy 2.4), which costs a sweep about 3 MiB of RSS
+    script = (
+        "import contextlib, io, sys\n"
+        "from fmpl.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', 'main', '-l', '2,1,2,1', '-r', '3,1,2', '--primes', '5..50', '--jobs', '1'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(fmpl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from helpers import indices_up_to, index_triples_up_to
-from fmpl import modular
+from fmpl import evaluate, modular
 from fmpl.evaluate import (
     PartialSumTable,
+    PrefixTrie,
     brute_force_fmp,
     brute_force_fmp_triple,
     brute_force_zeta_variant,
@@ -17,6 +18,8 @@ from fmpl.evaluate import (
     eval_zeta_variant,
     partial_sum_table,
     prefix_tables,
+    walk,
+    zeta_sums,
     zeta_values,
 )
 from fmpl.modular import ModPoly
@@ -80,6 +83,64 @@ def test_prefix_tables_match_single_index_tables(p):
             assert values[k] == brute_force_zeta_variant(1, k, p), (k, p)
         else:
             assert values[k] == eval_zeta_variant(1, k, p), (k, p)
+
+
+@pytest.mark.parametrize("block", (1, 4 << 10, 1 << 30))
+@pytest.mark.parametrize("p", (2, 13, 1009))
+def test_walk_is_the_same_at_every_block_size(monkeypatch, block, p):
+    # one node per step, a few per step, and each level whole in one step
+    monkeypatch.setattr(evaluate, "WALK_BLOCK_BYTES", block)
+    pool = indices_up_to(7, max_depth=4)
+    walked = list(prefix_tables(pool, p))
+    assert [k for k, _ in walked] == sorted(pool)
+    for k, table in walked:
+        expected = partial_sum_table(k, p).values if k.depth else np.ones(1, dtype=np.int64)
+        assert np.array_equal(table, expected), (k, p)
+        assert not table.flags.writeable
+    trie = PrefixTrie(pool)
+    zeta = zeta_sums(trie, p)
+    assert zeta.tolist() == [eval_zeta(k, p) for k in trie.indices]
+    need = np.arange(len(trie.indices)) % 3 == 1
+    seen = {}
+    for ids, tables in walk(trie, p, need=need):
+        seen.update(zip(ids.tolist(), tables))
+    assert sorted(seen) == np.flatnonzero(need).tolist()
+    for i, table in seen.items():
+        assert np.array_equal(table, dict(walked)[trie.indices[i]])
+
+
+def test_walk_memory_does_not_grow_with_the_width_of_a_level():
+    # the 126 indices of depth 4 and weight <= 9: at p = 10007 their level
+    # of the trie alone is 126 tables of 313 KiB (39 MiB), where the walk
+    # holds one block of parents per level (1.4 MiB at its peak)
+    p = 10007
+    pool = [k for k in indices_up_to(9, max_depth=4) if k.depth == 4]
+    trie = PrefixTrie(pool)
+    assert [len(level) for level in trie.leaf] == [1, 6, 21, 56, 126]
+    eval_fmp(I(1), p)  # the inverse table and its powers stay cached
+    for k in range(1, 7):
+        evaluate._inv_powers(k, p)
+    tracemalloc.start()
+    try:
+        for ids, tables in walk(trie, p):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_single_index_tables_are_counted_once_in_the_memo(monkeypatch):
+    monkeypatch.setattr(modular, "_TABLES", modular._PrimeTables())
+    k, p = I(2, 1, 3), 1009
+    f = eval_fmp(k, p)
+    for i in range(1, k.depth + 1):
+        eval_zeta_variant(i, k, p)
+    tables = modular._TABLES.by_prime[p]
+    assert {key[0].__name__ for key in tables} == {"inverse_table", "_inv_powers", "eval_fmp"}
+    inverse = sum(v.nbytes for key, v in tables.items() if key[0].__name__ != "eval_fmp")
+    assert modular._TABLES.nbytes[p] == inverse + f.coeffs.nbytes
+    assert f.coeffs.nbytes == 8 * (k.depth * (p - 1) + 1)
 
 
 def test_eval_fmp_examples():

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -193,6 +194,41 @@ def test_eval_expression_exceptional_prime_with_zero_zeta():
     with pytest.raises(ExceptionalPrimeError) as info:
         eval_expression(expr, 5)
     assert info.value.coef == Fraction(1, 5)
+
+
+def test_eval_expression_names_the_first_of_two_exceptional_coefficients():
+    # 2/7 is the coefficient of the first term in order, and 1/14 comes first
+    # among the distinct coefficients of the terms' given order
+    expr = CorrectionExpression(
+        [
+            term(Fraction(1, 14), zeta=(2,), li=(1,)),
+            term(3, li=(2,)),
+            term(Fraction(2, 7), li=(1, 1)),
+            term(Fraction(1, 14), li=(3,)),
+        ]
+    )
+    exceptional = [t.coef for t in expr.terms if t.coef.denominator % 7 == 0]
+    assert exceptional == [Fraction(2, 7), Fraction(1, 14), Fraction(1, 14)]
+    with pytest.raises(ExceptionalPrimeError) as info:
+        eval_expression(expr, 7)
+    assert info.value.coef == Fraction(2, 7)
+    with pytest.raises(ExceptionalPrimeError) as info:
+        eval_expression_per_term(expr, 7)
+    assert info.value.coef == Fraction(2, 7)
+    assert eval_expression(expr, 5) == eval_expression_per_term(expr, 5)
+
+
+def test_expression_hash_is_the_terms_hash_and_survives_pickling():
+    expr = shuffle_correction(I(2, 1), I(3))
+    assert hash(expr) == hash(expr.terms)
+    rebuilt = CorrectionExpression(reversed(expr.terms))
+    assert rebuilt is not expr and rebuilt == expr and hash(rebuilt) == hash(expr)
+    restored = pickle.loads(pickle.dumps(expr))
+    assert restored == expr and hash(restored) == hash(expr)
+    assert restored.terms == expr.terms
+    with pytest.raises(AttributeError):
+        restored._terms = ()
+    assert eval_expression(restored, 101) == eval_expression(expr, 101)
 
 
 BIT_IDENTITY_PRIMES = (2, 3, 5, 7, 13, 101, 1009)

@@ -20,6 +20,7 @@ from fmpl.modular import (
     per_prime_cache,
     primes_in_range,
     primitive_root,
+    reduce_mod,
 )
 from fmpl.sweep import run_sweep
 from fmpl.words import Index
@@ -144,6 +145,30 @@ def test_primitive_root_has_order_p_minus_1(p, factors):
     assert pow(g, p - 1, p) == 1
     assert all(pow(g, (p - 1) // q, p) != 1 for q in factors)
     assert all(any(pow(h, (p - 1) // q, p) == 1 for q in factors) for h in range(2, g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 2**31 - 1)),
+    values=st.lists(st.integers(-(2**62) + 1, 2**62 - 1), min_size=1, max_size=40),
+)
+@example(p=2**31 - 1, values=[2**62 - 1, -(2**62) + 1, -1, 0, 2**31 - 1, -(2**31) + 1])
+def test_reduce_mod_matches_remainder_on_both_signs(p, values):
+    x = np.array(values, dtype=np.int64)
+    expected = x % p
+    view = x[::-1]  # a view is reduced in place through to its base
+    assert reduce_mod(view, p) is view
+    assert np.array_equal(x, expected)
+
+
+def test_poly_leaves_its_callers_array_unchanged():
+    coeffs = np.array([-3, 7, 12, 5, 0, 0], dtype=np.int64)
+    f = ModPoly(5, coeffs)
+    assert coeffs.tolist() == [-3, 7, 12, 5, 0, 0] and coeffs.flags.writeable
+    assert f.coeffs.tolist() == [2, 2, 2]
+    g = ModPoly(5, coeffs[:4])
+    assert coeffs.tolist() == [-3, 7, 12, 5, 0, 0] and g == f
+    assert not np.shares_memory(g.coeffs, coeffs)
 
 
 def test_poly_trailing_zeros_trimmed():
