@@ -69,22 +69,24 @@ BRUTE_FORCE_MAX_DEPTH = 4
 BRUTE_FORCE_MAX_PRIME = 31
 
 
-@per_prime_cache
 def _inv_powers(k: int, p: int) -> np.ndarray:
-    """Table t -> inv(t)^k mod p for residues t, with entry 0 at t = 0."""
+    """Read-only table t -> inv(t)^k mod p for residues t and k >= 1, with entry 0 at t = 0.
+
+    k = 1 is the cached inverse table itself, which the memo then holds once.
+    """
+    return inverse_table(p) if k == 1 else _inv_power_table(k, p)
+
+
+@per_prime_cache
+def _inv_power_table(k: int, p: int) -> np.ndarray:
+    """inv^k for k >= 2, from the inverse table by squaring along the bits of k."""
     inv = inverse_table(p)
-    out = np.ones(p, dtype=np.int64)
-    base = inv.copy()
-    e = k
-    while e:
-        if e & 1:
-            out *= base
+    out = inv
+    for bit in bin(k)[3:]:
+        out = reduce_mod(out * out, p)
+        if bit == "1":
+            out *= inv
             reduce_mod(out, p)
-        e >>= 1
-        if e:
-            base *= base
-            reduce_mod(base, p)
-    out[0] = 0
     out.flags.writeable = False
     return out
 
@@ -108,16 +110,22 @@ def _window_step(
     int64 bound: prev's entries lie in [0, p), as in every table built
     here.  A plain prefix sum of prev would reach len(prev) * (p - 1); each
     running sum of d is one window of at most p - 1 entries, so it lies in
-    [0, (p - 1)^2], and a reduced window times an inverse power is < p^2.
-    Both are < 2^62 for p < MAX_PRIME = 2^31 at any length, which is
-    reduce_mod's precondition, so every table built here stays exact.
+    [0, (p - 1)^2], and times an inverse power it is at most (p - 1)^3.
+    For p <= 2^21 that is < 2^63, within reduce_mod's precondition for
+    non-negative x, so the product is reduced once.  Above, the window sums
+    are reduced first, and a reduced window times an inverse power is
+    < p^2 < 2^62 for p < MAX_PRIME = 2^31.  Either way every table built
+    here stays exact, at any length.
     """
     rows = -(-length // p)
-    d = np.zeros((len(prev), rows * p), dtype=np.int64)
+    d = np.empty((len(prev), rows * p), dtype=np.int64)
+    d[:, 0] = 0
     d[:, 1 : prev.shape[1] + 1] = prev[:, : rows * p - 1]
+    d[:, prev.shape[1] + 1 :] = 0
     d[:, p : p + prev.shape[1]] -= prev[:, : rows * p - p]
     np.cumsum(d, axis=1, out=d)
-    reduce_mod(d, p)
+    if (p - 1) ** 3 >= 1 << 63:
+        reduce_mod(d, p)
     if parents is not None:
         d = d[parents]
     grid = d.reshape(len(d), rows, p)
@@ -178,6 +186,7 @@ class PrefixTrie:
     def _link(self, parent: list[np.ndarray], part: list[np.ndarray], leaf: list[np.ndarray]) -> None:
         self.depth = len(leaf) - 1
         self.parent, self.part, self.leaf = parent, part, leaf
+        self._restricted: dict[bytes, PrefixTrie] = {}
         self.first_child, self.fed, self.parent_row = [], [], [np.zeros(1, dtype=np.intp)]
         for j in range(self.depth):
             below = parent[j + 1]
@@ -191,8 +200,20 @@ class PrefixTrie:
     def restricted(self, need: np.ndarray) -> "PrefixTrie":
         """The trie of the indices whose entry in the boolean array need is set.
 
-        Its leaf ids stay those of this trie.
+        Its leaf ids stay those of this trie.  The trie keeps the
+        RESTRICTED_TRIES need patterns it was last asked for, with their
+        tries: a sweep asks for the same few patterns at every prime.
         """
+        key = need.tobytes()
+        sub = self._restricted.pop(key, None)
+        if sub is None:
+            sub = self._restrict(need)
+            if len(self._restricted) >= RESTRICTED_TRIES:
+                del self._restricted[next(iter(self._restricted))]
+        self._restricted[key] = sub  # most recently used last
+        return sub
+
+    def _restrict(self, need: np.ndarray) -> "PrefixTrie":
         ends = [ids >= 0 for ids in self.leaf]  # the nodes where a needed index ends
         keep = [np.zeros(0, dtype=bool)] * (self.depth + 1)  # and the nodes on their paths
         for j in range(self.depth, -1, -1):
@@ -215,6 +236,11 @@ class PrefixTrie:
         return sub
 
 
+# Need patterns whose restricted tries each PrefixTrie keeps, least recently
+# used dropped first.
+RESTRICTED_TRIES = 8
+
+
 @lru_cache(maxsize=256)
 def _trie_of(indices: frozenset) -> PrefixTrie:
     return PrefixTrie(indices)
@@ -235,7 +261,8 @@ def walk(
     when one is given; the root's is [1], and stage 1 is the cached
     inverse-power table.  Only the indices whose entry in the boolean array
     need is set are yielded (all when need is None), and only the nodes on
-    their paths are computed.  Each index comes once, in no particular
+    their paths are computed, from the trie that PrefixTrie.restricted
+    keeps for this need pattern.  Each index comes once, in no particular
     order.
 
     The walk goes by levels: consecutive nodes of a level are computed by

@@ -5,17 +5,21 @@ int64 coefficient array indexed by exponent.  All values are immutable
 after construction, so they can be shared freely across sweep workers.
 Every polynomial product goes through `mul_mod`, which is exact for every
 p < MAX_PRIME and every length: short products run ``np.convolve``, long
-ones a floating-point FFT on 11-bit limbs whose rounding error is bounded
-below 1/2.  The table of inverses mod p has no Python loop over p: it is
-one scatter over the powers of a primitive root, which a two-level table
-builds in about 2 sqrt(p) Python steps.
+ones a floating-point FFT whose rounding error is bounded below 1/2.  Each
+product splits its coefficients into the fewest limbs (at most three) for
+which that bound holds at its own p and lengths (`mul_limbs`); one limb is
+the whole coefficient, as for li_(2,1) * li_3 up to p = 21841.  The table
+of inverses mod p has no Python loop over p: it is one scatter over the
+powers of a primitive root, which a two-level table builds in about
+2 sqrt(p) Python steps.
 
 Array reductions go through `reduce_mod(x, p)`, which computes
 x - (x // p) * p in place.  numpy divides an int64 array by a scalar with
 libdivide, so this costs about 1.9 ns per element at p = 7919, where `%`
 costs 4.3 ns on non-negative values and 12 ns on mixed signs.  Its
-precondition is |x| < 2^62: then (x // p) * p lies within p of x and
-cannot overflow, and the result is the same as ``x % p`` on either sign.
+precondition is |x| < 2^62, or 0 <= x < 2^63: then (x // p) * p lies
+within p of x, on the same side of 0, and cannot overflow, and the result
+is the same as ``x % p`` on either sign.
 
 Tables that depend on a prime (the inverse table here, and evaluate's
 inverse-power and polynomial tables) are memoized by
@@ -134,8 +138,8 @@ def primitive_root(p: int) -> int:
 def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
     """Reduce the int64 array x into [0, p) in place, and return it.
 
-    Computes x - (x // p) * p, equal to x % p for |x| < 2^62 on either
-    sign (see the module docstring); x may be a view.
+    Computes x - (x // p) * p, equal to x % p for |x| < 2^62, or
+    0 <= x < 2^63 (see the module docstring); x may be a view.
     """
     q = x // p
     q *= p
@@ -302,31 +306,70 @@ def ensure_prime(p: int) -> None:
         raise ValueError(f"{p} is not a prime in the supported range")
 
 
-LIMB_BITS = 11
 # Shorter factor from which the FFT path beats np.convolve.  The direct cost
 # is len_a * len_b multiply-adds, the FFT's grows with the padded length, so
 # their ratio follows the shorter factor.  Measured with numpy 2.4 on a
 # 2-core x86-64 machine, direct vs FFT: one limb (p = 1999), 256 x 256 in
 # 0.068 vs 0.073 ms and 384 x 384 in 0.158 vs 0.092 ms; two limbs
-# (p = 4999), 128 x 5000 in 0.66 vs 1.17 ms, 256 x 5000 in 1.30 vs 1.17 ms
-# and 512 x 512 in 0.27 vs 0.24 ms.
+# (p = 4999, at 11 bits a limb), 128 x 5000 in 0.66 vs 1.17 ms, 256 x 5000
+# in 1.30 vs 1.17 ms and 512 x 512 in 0.27 vs 0.24 ms.
 FFT_MIN_LEN = 256
 # Longest factor the FFT path may take; derived in mul_mod's docstring.
 FFT_MAX_LEN = (1 << 29) // (13 * 22 + 3)
 
 
+@lru_cache(maxsize=1024)
+def _limb_pairs(p: int, limbs: int) -> int:
+    """The largest sum over the limb pairs (i, s - i) of top_i * top_(s - i).
+
+    Coefficients in [0, p) are split into limbs of w = ceil(bitlen(p - 1) / limbs)
+    bits, and limb i is at most top_i = min(2^w - 1, (p - 1) >> (w i)).
+    One limb is the whole coefficient, and the bound is (p - 1)^2.
+    """
+    width = -(-(p - 1).bit_length() // limbs)
+    top = [min((1 << width) - 1, (p - 1) >> (width * i)) for i in range(limbs)]
+    return max(
+        sum(top[i] * top[s - i] for i in range(max(0, s - limbs + 1), min(s, limbs - 1) + 1))
+        for s in range(2 * limbs - 1)
+    )
+
+
+def mul_limbs(p: int, la: int, lb: int) -> tuple[int, bool]:
+    """How mul_mod multiplies factors of lengths la and lb: (limbs, by FFT).
+
+    The limbs are the fewest of 1, 2 or 3 for which the product is exact;
+    the bounds are derived in mul_mod's docstring.
+    """
+    fft = min(la, lb) >= FFT_MIN_LEN and max(la, lb) <= FFT_MAX_LEN
+    if fft:
+        k = (la + lb - 2).bit_length()  # the padded length is 2^k
+        scale, bound = max(la, lb) * (13 * k + 3), 1 << 52
+    else:
+        scale, bound = min(la, lb), 1 << 63
+    return next(limbs for limbs in (1, 2, 3) if scale * _limb_pairs(p, limbs) < bound), fft
+
+
 def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """The product of two coefficient arrays with entries in [0, p), mod p.
 
-    Each input is split into L = ceil(bitlen(p - 1) / 11) limbs below 2^11
-    (one for p - 1 < 2^11, two for p - 1 < 2^22, three up to 2^31), the
-    2L - 1 limb-pair sums c_s = sum_{i + j = s} a_i * b_j are formed
-    exactly, and the result is sum_s (c_s mod p) * (2^(11 s) mod p) mod p.
-    Products with a factor shorter than FFT_MIN_LEN skip the split and take
-    np.convolve on the whole coefficients while min(len) * (p - 1)^2 < 2^62
-    keeps it inside int64.  Longer ones form c_s with np.fft: rfft of every
-    limb, padded to n = 2^k, the pair products summed per s, one irfft per
-    s, rounded.
+    Each input is split into L limbs of w = ceil(bitlen(p - 1) / L) bits,
+    the 2L - 1 limb-pair sums c_s = sum_{i + j = s} a_i * b_j are formed
+    exactly, and the result is sum_s (c_s mod p) * (2^(w s) mod p) mod p.
+    With L = 1 the limb is the whole coefficient and c_0 is the product.
+    Products with a factor shorter than FFT_MIN_LEN, or one longer than
+    FFT_MAX_LEN, form each c_s with np.convolve; the others with np.fft:
+    rfft of every limb, padded to n = 2^k, the pair products summed per s,
+    one irfft per s, rounded.  So one limb costs 3 FFTs and two limbs 7.
+    mul_limbs picks the fewest L, at most 3, that keeps c_s exact, by the
+    two bounds below.  Write P_L for the largest sum over the pairs of one
+    c_s of the products of their limbs' maxima (_limb_pairs): (p - 1)^2
+    for L = 1, and below 2^23 for L = 3 at every p < 2^31, whose limbs
+    are at most 11, 11 and 9 bits.
+
+    Direct products: each c_s is a sum of at most min(len) terms per pair,
+    so it is at most min(len) P_L, and np.convolve is exact while that is
+    below 2^63 (reduce_mod's precondition for non-negative x).  L = 3
+    meets it for any min(len) < 2^40.
 
     Float-error bound: for real x, y zero-padded to n = 2^k, a
     double-precision FFT convolution with twiddle factors correct to the
@@ -334,39 +377,44 @@ def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     ||x||_2 ||y||_2 ((1 + eps)^3k (1 + eps sqrt 5)^(3k + 1) (1 + eps)^3k - 1)
     (Percival, Math. Comp. 72 (2003); Brent and Zimmermann, Modern Computer
     Arithmetic, section 3.3), which is below ||x||_2 ||y||_2 eps (13 k + 3).
-    Limbs lie in [0, 2^11), and at three limbs the top one is below 2^9, so
-    with both lengths at most m the pairs of one c_s have norm products
-    summing to at most 2 m (2^11 - 1)^2 < 2^23 m.  Rounding is exact while
-    2^23 m eps (13 k + 3) < 1/2, i.e. m (13 k + 3) < 2^29.  For m < 2^21
-    the padded length is at most 2^22, so k <= 22, and every
-    m <= FFT_MAX_LEN = 2^29 // 289 = 1,857,684 is exact.  Longer products
-    take the same limb split through np.convolve, whose int64 sums stay
-    below 3 min(len) 2^22.  At m = FFT_MAX_LEN on all-(p - 1) inputs the
-    largest distance to an integer before rounding was 0.012 at
+    With both lengths at most m, the pairs of one c_s have norm products
+    summing to at most m P_L, so rounding is exact while
+    m P_L eps (13 k + 3) < 1/2, i.e. m P_L (13 k + 3) < 2^52, and mul_limbs
+    takes the fewest L for which it holds at this product's m and k; the
+    exact c_s is then below 2^52 too, so the float holds it.  For
+    li_(2,1) * li_3 (lengths 2p - 1 and p) that is one limb up to
+    p = 21841, where the padded length is 2^16.  At L = 3, P_L < 2^23, so
+    every m with m (13 k + 3) < 2^29 is exact whatever p < 2^31.  For
+    m < 2^21 the padded length is at most 2^22, so k <= 22, and every
+    m <= FFT_MAX_LEN = 2^29 // 289 = 1,857,684 is exact with at most three
+    limbs.  At m = FFT_MAX_LEN on all-(p - 1) inputs, three limbs of 11
+    bits had a largest distance to an integer before rounding of 0.012 at
     p = 2^31 - 1 and 0.010 at p = 2^22 - 3.
     """
     la, lb = len(a), len(b)
-    if min(la, lb) < FFT_MIN_LEN and min(la, lb) * (p - 1) ** 2 < 1 << 62:
-        return reduce_mod(np.convolve(a, b), p)
-    limbs = -(-(p - 1).bit_length() // LIMB_BITS)
-    mask = (1 << LIMB_BITS) - 1
-    a_limbs = [a >> (LIMB_BITS * i) & mask for i in range(limbs)]
-    b_limbs = [b >> (LIMB_BITS * i) & mask for i in range(limbs)]
+    limbs, fft = mul_limbs(p, la, lb)
+    width = -(-(p - 1).bit_length() // limbs)
+    mask = (1 << width) - 1
+    a_limbs = [a] if limbs == 1 else [a >> (width * i) & mask for i in range(limbs)]
+    b_limbs = [b] if limbs == 1 else [b >> (width * i) & mask for i in range(limbs)]
     length = la + lb - 1
-    fft = min(la, lb) >= FFT_MIN_LEN and max(la, lb) <= FFT_MAX_LEN
     if fft:
         n = 1 << (length - 1).bit_length()
         a_limbs = [np.fft.rfft(x, n) for x in a_limbs]
         b_limbs = [np.fft.rfft(x, n) for x in b_limbs]
     pair_product = np.multiply if fft else np.convolve
-    out = np.zeros(length, dtype=np.int64)
     for s in range(2 * limbs - 1):
         pairs = range(max(0, s - limbs + 1), min(s, limbs - 1) + 1)
-        c = sum(pair_product(a_limbs[i], b_limbs[s - i]) for i in pairs)
+        c = pair_product(a_limbs[pairs[0]], b_limbs[s - pairs[0]])
+        for i in pairs[1:]:
+            c += pair_product(a_limbs[i], b_limbs[s - i])
         if fft:
             c = np.rint(np.fft.irfft(c, n)[:length]).astype(np.int64)
-        out += reduce_mod(c, p) * pow(2, LIMB_BITS * s, p)
-        reduce_mod(out, p)
+        if s == 0:
+            out = reduce_mod(c, p)
+        else:
+            out += reduce_mod(c, p) * pow(2, width * s, p)
+            reduce_mod(out, p)
     return out
 
 

@@ -7,8 +7,10 @@ import pytest
 from helpers import indices_up_to, index_triples_up_to
 from fmpl import evaluate, modular
 from fmpl.evaluate import (
+    RESTRICTED_TRIES,
     PartialSumTable,
     PrefixTrie,
+    _window_step,
     brute_force_fmp,
     brute_force_fmp_triple,
     brute_force_zeta_variant,
@@ -22,7 +24,7 @@ from fmpl.evaluate import (
     zeta_sums,
     zeta_values,
 )
-from fmpl.modular import ModPoly
+from fmpl.modular import ModPoly, inverse_table
 from fmpl.words import EMPTY, Index, concat
 
 I = Index.of
@@ -109,6 +111,64 @@ def test_walk_is_the_same_at_every_block_size(monkeypatch, block, p):
         assert np.array_equal(table, dict(walked)[trie.indices[i]])
 
 
+def test_walk_builds_each_restricted_trie_once(monkeypatch):
+    # a sweep asks for the same need pattern at every prime; the pruned trie
+    # is built at the first and kept, for at most RESTRICTED_TRIES patterns
+    trie = PrefixTrie(indices_up_to(6, max_depth=3))
+    built = []
+    restrict = PrefixTrie._restrict
+    monkeypatch.setattr(PrefixTrie, "_restrict", lambda self, need: built.append(1) or restrict(self, need))
+    n = len(trie.indices)
+    needs = [np.arange(n) % (2 + i) == 1 for i in range(RESTRICTED_TRIES + 1)]
+
+    def check(p, need):
+        full = dict(prefix_tables(trie.indices, p))
+        seen = {}
+        for ids, tables in walk(trie, p, need=need):
+            seen.update(zip(ids.tolist(), tables))
+        assert sorted(seen) == np.flatnonzero(need).tolist()
+        for i, table in seen.items():
+            assert np.array_equal(table, full[trie.indices[i]]), (i, p)
+
+    for p in (5, 7, 101):
+        for need in needs[:RESTRICTED_TRIES]:
+            check(p, need)
+    assert len(built) == RESTRICTED_TRIES
+    check(11, needs[0])  # a hit makes needs[0] the most recently used
+    check(11, needs[-1])  # a new pattern drops the least recently used, needs[1]
+    check(11, needs[0])
+    assert len(built) == RESTRICTED_TRIES + 1
+    check(11, needs[1])
+    assert len(built) == RESTRICTED_TRIES + 2
+
+
+@pytest.mark.parametrize("p", (2097143, 2097169))
+def test_window_step_exact_on_all_max_tables(p):
+    # 2097143 is the largest prime <= 2^21, where (p - 1)^3 < 2^63 and the
+    # product is reduced once; at 2097169 the window sums are reduced first
+    assert ((p - 1) ** 3 < 1 << 63) == (p == 2097143)
+    prev = np.full((2, p), p - 1, dtype=np.int64)
+    prev[1, ::3] = 0
+    src = [row.tolist() for row in prev]
+    rng = np.random.default_rng(p)
+
+    def literal(row, k, n):
+        """inv(n)^k * sum_{0 < n - n' < p} row[n'] mod p, in Python ints."""
+        window = sum(row[max(0, n - p + 1) : min(n, len(row))])
+        return window * pow(n, -k, p) % p if n % p else 0
+
+    def check(out, parents, ks, length):
+        assert out.shape == (len(ks), length)
+        for n in [0, 1, 2, p - 2, p - 1, p, length - 1] + rng.integers(0, length, 6).tolist():
+            if n < length:
+                assert out[:, n].tolist() == [literal(src[r], k, n) for r, k in zip(parents, ks)], n
+
+    # one row, advanced past p so that the window slides
+    check(_window_step(prev[:1], p, (3,), p + 2), (0,), (3,), p + 2)
+    # a batch of rows with parents, mixed parts, and inv(p - 1)^k = p - 1 for odd k
+    check(_window_step(prev, p, (1, 3), p, np.array([1, 0])), (1, 0), (1, 3), p)
+
+
 def test_walk_memory_does_not_grow_with_the_width_of_a_level():
     # the 126 indices of depth 4 and weight <= 9: at p = 10007 their level
     # of the trie alone is 126 tables of 313 KiB (39 MiB), where the walk
@@ -137,8 +197,14 @@ def test_single_index_tables_are_counted_once_in_the_memo(monkeypatch):
     for i in range(1, k.depth + 1):
         eval_zeta_variant(i, k, p)
     tables = modular._TABLES.by_prime[p]
-    assert {key[0].__name__ for key in tables} == {"inverse_table", "_inv_powers", "eval_fmp"}
+    assert {key[0].__name__ for key in tables} == {"inverse_table", "_inv_power_table", "eval_fmp"}
+    # inv^1 is the inverse table itself, held and counted once
+    assert evaluate._inv_powers(1, p) is inverse_table(p)
+    assert sorted(key[1][0] for key in tables if key[0].__name__ == "_inv_power_table") == [2, 3]
+    arrays = [v.coeffs if isinstance(v, ModPoly) else v for v in tables.values()]
+    assert len({id(v) for v in arrays}) == len(arrays)
     inverse = sum(v.nbytes for key, v in tables.items() if key[0].__name__ != "eval_fmp")
+    assert inverse == 3 * 8 * p
     assert modular._TABLES.nbytes[p] == inverse + f.coeffs.nbytes
     assert f.coeffs.nbytes == 8 * (k.depth * (p - 1) + 1)
 

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
@@ -16,6 +17,7 @@ from fmpl.modular import (
     inverse_table,
     is_prime,
     mod_inverse,
+    mul_limbs,
     mul_mod,
     per_prime_cache,
     primes_in_range,
@@ -150,9 +152,13 @@ def test_primitive_root_has_order_p_minus_1(p, factors):
 @settings(max_examples=300, deadline=None)
 @given(
     p=st.sampled_from((2, 3, 2**31 - 1)),
-    values=st.lists(st.integers(-(2**62) + 1, 2**62 - 1), min_size=1, max_size=40),
+    values=st.lists(
+        st.one_of(st.integers(-(2**62) + 1, 2**62 - 1), st.integers(0, 2**63 - 1)), min_size=1, max_size=40
+    ),
 )
 @example(p=2**31 - 1, values=[2**62 - 1, -(2**62) + 1, -1, 0, 2**31 - 1, -(2**31) + 1])
+@example(p=2**31 - 1, values=[2**63 - 1, 2**63 - 2, 2**62, (2**21 - 1) ** 3])
+@example(p=3, values=[2**63 - 1, 2**63 - 3])
 def test_reduce_mod_matches_remainder_on_both_signs(p, values):
     x = np.array(values, dtype=np.int64)
     expected = x % p
@@ -256,10 +262,65 @@ def _int_product(a, b, p):
     return [((c >> (width * t)) & mask) % p for t in range(len(a) + len(b) - 1)]
 
 
+def _pair_sum_bound(p, limbs):
+    """Largest sum over the limb pairs of one c_s of the products of the limbs' maxima."""
+    w = -(-(p - 1).bit_length() // limbs)
+    top = [min(2**w - 1, (p - 1) >> (w * i)) for i in range(limbs)]
+    return max(sum(top[i] * top[s - i] for i in range(limbs) if 0 <= s - i < limbs) for s in range(2 * limbs - 1))
+
+
+def _exact_with(p, la, lb, limbs, fft):
+    """mul_mod's exactness bound: the float-error bound for FFTs, int64 for np.convolve."""
+    if fft:
+        k = (la + lb - 2).bit_length()  # the padded length is 2^k
+        return Fraction(max(la, lb) * _pair_sum_bound(p, limbs) * (13 * k + 3), 2**53) < Fraction(1, 2)
+    return min(la, lb) * _pair_sum_bound(p, limbs) < 2**63
+
+
+LIMB_PRIMES = [2, 3, 2039, 2053, 4999, 21841, 21851, 65521, 1000003, 2**22 - 3, 2**31 - 1]
+
+
 def test_fft_length_limit_follows_the_error_bound():
     # mul_mod: lengths m <= FFT_MAX_LEN pad to at most 2^22, and m (13 k + 3) < 2^29
     assert 2 * FFT_MAX_LEN - 1 <= 1 << 22
     assert FFT_MAX_LEN * (13 * 22 + 3) < 1 << 29 <= (FFT_MAX_LEN + 1) * (13 * 22 + 3)
+    # three limbs are at most 11, 11 and 9 bits, so their pair sums stay below
+    # 2^23 and every m <= FFT_MAX_LEN is exact with three limbs at any p
+    assert max(_pair_sum_bound(p, 3) for p in (2**31 - 1, 2**30 + 3, 2**22 - 3)) < 1 << 23
+    # the chosen limb count is the fewest for which the bound holds
+    lengths = [(1, 1), (3, 200), (255, 3000), (256, 256), (5668, 5668), (5669, 5669), (5670, 5670), (5671, 5671)]
+    lengths += [(42150, 42150), (42151, 42151), (1 << 16, 1 << 16), (FFT_MAX_LEN, 256), (FFT_MAX_LEN, FFT_MAX_LEN)]
+    lengths += [(FFT_MAX_LEN + 1, 300), (3 * 10**6, 10**6)]
+    for p in LIMB_PRIMES:
+        for la, lb in lengths + [(2 * p - 1, p), (p, 2 * p - 1)]:
+            limbs, fft = mul_limbs(p, la, lb)
+            assert fft == (min(la, lb) >= FFT_MIN_LEN and max(la, lb) <= FFT_MAX_LEN)
+            assert limbs in (1, 2, 3) and _exact_with(p, la, lb, limbs, fft), (p, la, lb)
+            assert limbs == 1 or not _exact_with(p, la, lb, limbs - 1, fft), (p, la, lb)
+    # li_(2,1) * li_3 takes one limb up to p = 21841, where the padded length is 2^16
+    assert mul_limbs(21841, 2 * 21841 - 1, 21841) == (1, True)
+    assert mul_limbs(21851, 2 * 21851 - 1, 21851) == (2, True)
+
+
+@pytest.mark.parametrize(
+    "p,la,lb,limbs",
+    [
+        (21841, 42150, 42150, 1),  # the largest m that one limb admits at p = 21841
+        (65521, 5670, 5670, 1),
+        (2**31 - 1, 5668, 5668, 2),  # the largest m that two limbs admit at p = 2^31 - 1
+        (21841, 2 * 21841 - 1, 21841, 1),  # li_(2,1) * li_3: one limb up to p = 21841
+        (21851, 2 * 21851 - 1, 21851, 2),
+    ],
+)
+def test_mul_mod_exact_at_the_largest_length_a_limb_count_admits(p, la, lb, limbs):
+    # three limbs reach m = FFT_MAX_LEN, a 2.7 s, 420 MiB product left out here;
+    # test_mul_mod_fft_path_exact_on_all_max_inputs runs them at m = 2^16
+    assert mul_limbs(p, la, lb) == (limbs, True)
+    if la == lb:
+        assert mul_limbs(p, la + 1, lb + 1) == (limbs + 1, True)
+    a = np.full(la, p - 1, dtype=np.int64)
+    b = np.full(lb, p - 1, dtype=np.int64)
+    assert mul_mod(a, b, p).tolist() == _all_max_product(la, lb, p)
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, 2**22 - 3])
@@ -302,11 +363,15 @@ def test_mul_mod_limb_split_direct_beyond_fft_limit(monkeypatch):
 @given(
     la=st.integers(1, 3000),
     lb=st.integers(1, 3000),
-    p=st.sampled_from([2, 3, 101, 65521, 1000003]),
+    p=st.sampled_from([2, 3, 101, 2039, 2053, 4999, 21841, 21851, 65521, 1000003]),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(la=FFT_MIN_LEN - 1, lb=3000, p=1000003, seed=0)
 @example(la=FFT_MIN_LEN, lb=FFT_MIN_LEN, p=65521, seed=0)
+@example(la=3000, lb=3000, p=65521, seed=0)
+@example(la=3000, lb=3000, p=1000003, seed=0)
+@example(la=2999, lb=2999, p=21851, seed=0)
+@example(la=3000, lb=FFT_MIN_LEN, p=4999, seed=0)
 def test_mul_mod_bit_identical_to_convolve(la, lb, p, seed):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, p, la)
