@@ -40,7 +40,6 @@ from .evaluate import (
     eval_fmp_triple,
     eval_zeta,
     eval_zeta_variant,
-    partial_sum_table,
 )
 from .identities import (
     CheckResult,

@@ -21,7 +21,8 @@ Three families are evaluated exactly in F_p:
 One window-step routine serves all three families; zeta keeps its tables
 at length p, since its partial sums stay below p.  It is batched: each call
 advances a 2-D block of parent rows, each output row by its own part, and a
-single table is a one-row call.
+single table is a one-row call.  PartialSumTable.of starts a single index
+at its cached stage-1 table and advances it one window step per part.
 
 Sums over many indices at one prime (the generators of a correction
 expression, the terms of a formal sum of zeta values) share their work
@@ -34,8 +35,7 @@ that the next level reads as parents.  So memory is one block of parents
 per level, whatever the number of indices on a level, and at large p,
 where one table passes the bound, the walk is depth first, one path at a
 time.  The zeta and li families differ in one thing only, the table
-length: zeta's tables are cut at p.  prefix_tables gives the same tables
-index by index, in sorted order.
+length: zeta's tables are cut at p.
 
 The per-prime tables (inverse powers, and the values of eval_zeta,
 eval_fmp and eval_fmp_triple) are memoized by modular.per_prime_cache,
@@ -49,8 +49,9 @@ coefficients, which the variants and the three-block weights read too.
 
 All arithmetic is exact: int64 modular arithmetic, plus mul_mod's product,
 which is exact at every p < MAX_PRIME and every length.  The naive
-brute-force oracles at the bottom recompute small cases by literal nested
-loops.
+brute-force oracles at the bottom recompute small cases by one literal
+nested loop over the three blocks, which shares no code with the window
+step.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .modular import ModPoly, ensure_prime, inverse_table, mul_mod, per_prime_cache, reduce_mod
-from .words import Index
+from .words import EMPTY, Index
 
 BRUTE_FORCE_MAX_DEPTH = 4
 BRUTE_FORCE_MAX_PRIME = 31
@@ -313,29 +314,6 @@ def walk(
     yield from descend(0, 0, 1, np.ones((1, 1), dtype=np.int64))
 
 
-def prefix_tables(
-    indices: Iterable[Index], p: int, cap: Optional[int] = None
-) -> Iterator[tuple[Index, np.ndarray]]:
-    """Each distinct index k with its stage-dep(k) table, in sorted order.
-
-    The tables come from walk over the indices' prefix trie.  Sorted order
-    is the trie's preorder, and walk finishes a block's descendants before
-    the next block, so a table that comes early waits only for the
-    descendants of its own block: the tables waiting are at most one block
-    per level.  The stage-j table has length j * (p - 1) + 1, cut at cap >= p
-    when one is given, and the empty index's is [1].  The yielded tables
-    are read only.
-    """
-    trie = _trie_of(frozenset(indices))
-    waiting: dict[int, np.ndarray] = {}
-    nxt = 0
-    for ids, rows in walk(trie, p, cap):
-        waiting.update(zip(ids.tolist(), rows))
-        while nxt in waiting:
-            yield trie.indices[nxt], waiting.pop(nxt)
-            nxt += 1
-
-
 def zeta_sums(trie: PrefixTrie, p: int) -> np.ndarray:
     """zeta(k) mod p for each of the trie's indices, in its order.
 
@@ -363,34 +341,37 @@ class PartialSumTable:
     """Distribution of a stage's exact partial-sum value over F_p.
 
     values[n] holds the stage-j table entry f_j(n), with support in
-    [stage, stage*(p-1)].  Tables produced by `advanced` are zero at every
-    n divisible by p (excluded denominators); a start table, such as the
-    convolved weights of the three-block sum, need not be.
+    [stage, stage*(p-1)], cut at length cap >= p when one is given.  Tables
+    produced by `advanced` are zero at every n divisible by p (excluded
+    denominators); a start table, such as the convolved weights of the
+    three-block sum, need not be.
     """
 
     p: int
     stage: int
     values: np.ndarray
+    cap: Optional[int] = None
+
+    @classmethod
+    def of(cls, k: Index, p: int, cap: Optional[int] = None) -> "PartialSumTable":
+        """The stage-dep(k) table of k ([1] for the empty index), for a prime p.
+
+        Stage 1 is the cached inverse-power table itself, not a copy.
+        """
+        if k.depth == 0:
+            return cls(p, 0, np.ones(1, dtype=np.int64), cap)
+        table = cls(p, 1, _inv_powers(k[0], p), cap)
+        for kj in k[1:]:
+            table = table.advanced(kj)
+        return table
 
     def advanced(self, k_next: int) -> "PartialSumTable":
         """Append one summand 0 < l < p and divide by the new sum's power."""
-        p = self.p
-        vals = _window_step(self.values[None], p, (k_next,), (self.stage + 1) * (p - 1) + 1)[0]
+        p, cap = self.p, self.cap
+        length = (self.stage + 1) * (p - 1) + 1
+        vals = _window_step(self.values[None], p, (k_next,), length if cap is None else min(cap, length))[0]
         vals.flags.writeable = False
-        return PartialSumTable(p, self.stage + 1, vals)
-
-
-def partial_sum_table(k: Index, p: int) -> PartialSumTable:
-    """The depth-dep(k) table for index k (k nonempty)."""
-    ensure_prime(p)
-    if k.depth < 1:
-        raise ValueError("partial-sum table needs a nonempty index")
-    vals = _inv_powers(k[0], p).copy()
-    vals.flags.writeable = False
-    table = PartialSumTable(p, 1, vals)
-    for kj in k[1:]:
-        table = table.advanced(kj)
-    return table
+        return PartialSumTable(p, self.stage + 1, vals, cap)
 
 
 @per_prime_cache
@@ -400,12 +381,7 @@ def eval_zeta(k: Index, p: int) -> int:
     One index is one path of one-row window steps, its tables cut at p.
     """
     ensure_prime(p)
-    if k.depth == 0:
-        return 1
-    table = _inv_powers(k[0], p)
-    for kj in k[1:]:
-        table = _window_step(table[None], p, (kj,), p)[0]
-    return int(table.sum() % p)
+    return int(PartialSumTable.of(k, p, p).values.sum() % p)
 
 
 @per_prime_cache
@@ -417,9 +393,7 @@ def eval_fmp(k: Index, p: int) -> ModPoly:
     and the three-block weights read too.
     """
     ensure_prime(p)
-    if k.depth == 0:
-        return ModPoly.one(p)
-    return ModPoly(p, partial_sum_table(k, p).values)
+    return ModPoly(p, PartialSumTable.of(k, p).values)
 
 
 def eval_zeta_variant(i: int, k: Index, p: int) -> int:
@@ -455,108 +429,54 @@ def eval_fmp_triple(lam: Index, mu: Index, nu: Index, p: int) -> ModPoly:
     return ModPoly(p, table.values)
 
 
-def _check_brute_domain(depth: int, p: int) -> None:
-    if depth > BRUTE_FORCE_MAX_DEPTH:
-        raise ValueError(f"brute force capped at total depth {BRUTE_FORCE_MAX_DEPTH}")
-    if p > BRUTE_FORCE_MAX_PRIME:
-        raise ValueError(f"brute force capped at p <= {BRUTE_FORCE_MAX_PRIME}")
+def _literal_block(k: Index, p: int, inv: list[int], start: int, term: int) -> Iterator[tuple[int, int]]:
+    """(start + l_1 + ... + l_r, term * prod inv(partial sum)^{k_j}) for each 0 < l_j < p.
+
+    The partial sums start at start; a tuple with one divisible by p is
+    skipped.  The empty index yields (start, term) once.
+    """
+    for ls in product(range(1, p), repeat=k.depth):
+        total, t = start, term
+        for l, kj in zip(ls, k.parts):
+            total += l
+            rem = total % p
+            if rem == 0:
+                break
+            t = t * pow(inv[rem], kj, p) % p
+        else:
+            yield total, t
+
+
+@lru_cache(maxsize=None)
+def _literal_coefficients(lam: Index, mu: Index, nu: Index, p: int) -> tuple[int, ...]:
+    """The three-block polynomial's coefficients, by literal loops; nu's partial sums start at L_a + M_b."""
+    inv = inverse_table(p).tolist()
+    coeffs = [0] * ((lam.depth + mu.depth + nu.depth) * (p - 1) + 1)
+    for sum_l, term_l in _literal_block(lam, p, inv, 0, 1):
+        for sum_m, term_m in _literal_block(mu, p, inv, 0, term_l):
+            for e, term in _literal_block(nu, p, inv, sum_l + sum_m, term_m):
+                coeffs[e] = (coeffs[e] + term) % p
+    return tuple(coeffs)
 
 
 def brute_force_fmp(k: Index, p: int) -> ModPoly:
     """Literal nested-loop evaluation of the single-index polynomial."""
-    ensure_prime(p)
-    _check_brute_domain(k.depth, p)
-    if k.depth == 0:
-        return ModPoly.one(p)
-    inv = inverse_table(p).tolist()
-    coeffs = [0] * (k.depth * (p - 1) + 1)
-    for ls in product(range(1, p), repeat=k.depth):
-        total = 0
-        term = 1
-        for l, kj in zip(ls, k.parts):
-            total += l
-            rem = total % p
-            if rem == 0:
-                term = 0
-                break
-            term = term * pow(inv[rem], kj, p) % p
-        if term:
-            coeffs[total] = (coeffs[total] + term) % p
-    return ModPoly(p, coeffs)
-
-
-@lru_cache(maxsize=None)
-def _brute_variant_bands(k: Index, p: int) -> tuple[int, ...]:
-    """One literal pass accumulating the variant per band of the last sum."""
-    inv = inverse_table(p).tolist()
-    bands = [0] * k.depth
-    for ls in product(range(1, p), repeat=k.depth):
-        total = 0
-        term = 1
-        for l, kj in zip(ls, k.parts):
-            total += l
-            rem = total % p
-            if rem == 0:
-                term = 0
-                break
-            term = term * pow(inv[rem], kj, p) % p
-        if term:
-            bands[total // p] = (bands[total // p] + term) % p
-    return tuple(bands)
+    return brute_force_fmp_triple(EMPTY, EMPTY, k, p)
 
 
 def brute_force_zeta_variant(i: int, k: Index, p: int) -> int:
-    """Literal nested-loop evaluation of the i-th variant."""
-    ensure_prime(p)
-    _check_brute_domain(k.depth, p)
+    """Literal nested-loop evaluation of the i-th variant: li_k's coefficients at (i-1)p <= e < ip."""
+    coeffs = brute_force_fmp(k, p).coeffs
     if not 1 <= i <= k.depth:
         raise ValueError(f"variant selector i={i} outside [1, {k.depth}]")
-    return _brute_variant_bands(k, p)[i - 1]
+    return int(coeffs[(i - 1) * p : i * p].sum() % p)
 
 
 def brute_force_fmp_triple(lam: Index, mu: Index, nu: Index, p: int) -> ModPoly:
     """Literal nested-loop evaluation of the three-block polynomial."""
     ensure_prime(p)
-    a, b, c = lam.depth, mu.depth, nu.depth
-    _check_brute_domain(a + b + c, p)
-    inv = inverse_table(p).tolist()
-    coeffs = [0] * ((a + b + c) * (p - 1) + 1)
-    for ls in product(range(1, p), repeat=a):
-        term_l = 1
-        sum_l = 0
-        for l, kj in zip(ls, lam.parts):
-            sum_l += l
-            rem = sum_l % p
-            if rem == 0:
-                term_l = 0
-                break
-            term_l = term_l * pow(inv[rem], kj, p) % p
-        if not term_l:
-            continue
-        for ms in product(range(1, p), repeat=b):
-            term_m = term_l
-            sum_m = 0
-            for m, kj in zip(ms, mu.parts):
-                sum_m += m
-                rem = sum_m % p
-                if rem == 0:
-                    term_m = 0
-                    break
-                term_m = term_m * pow(inv[rem], kj, p) % p
-            if not term_m:
-                continue
-            base = sum_l + sum_m
-            for ns in product(range(1, p), repeat=c):
-                term = term_m
-                sum_n = 0
-                for n, kj in zip(ns, nu.parts):
-                    sum_n += n
-                    rem = (base + sum_n) % p
-                    if rem == 0:
-                        term = 0
-                        break
-                    term = term * pow(inv[rem], kj, p) % p
-                if term:
-                    e = base + sum_n
-                    coeffs[e] = (coeffs[e] + term) % p
-    return ModPoly(p, coeffs)
+    if lam.depth + mu.depth + nu.depth > BRUTE_FORCE_MAX_DEPTH:
+        raise ValueError(f"brute force capped at total depth {BRUTE_FORCE_MAX_DEPTH}")
+    if p > BRUTE_FORCE_MAX_PRIME:
+        raise ValueError(f"brute force capped at p <= {BRUTE_FORCE_MAX_PRIME}")
+    return ModPoly(p, _literal_coefficients(lam, mu, nu, p))

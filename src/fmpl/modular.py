@@ -446,20 +446,10 @@ class ModPoly:
     def one(cls, p: int) -> "ModPoly":
         return cls(p, [1])
 
-    @classmethod
-    def constant(cls, p: int, c: int) -> "ModPoly":
-        return cls(p, [c])
-
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    @property
-    def order(self) -> int:
-        """Lowest exponent with nonzero coefficient, -1 for zero."""
-        nz = np.nonzero(self.coeffs)[0]
-        return int(nz[0]) if len(nz) else -1
 
     def __bool__(self) -> bool:
         return len(self.coeffs) > 0

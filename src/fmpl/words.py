@@ -154,22 +154,6 @@ class FormalSum:
     def single(cls, k: Index, c: Rational = 1) -> "FormalSum":
         return cls([(k, c)])
 
-    def items(self) -> list[tuple[Index, Fraction]]:
-        return list(self._terms.items())
-
-    def indices(self) -> list[Index]:
-        return list(self._terms)
-
-    def coefficient(self, k: Index) -> Fraction:
-        return self._terms.get(k, Fraction(0))
-
-    def total_coefficient(self) -> Fraction:
-        return sum(self._terms.values(), Fraction(0))
-
-    def is_weight_homogeneous(self) -> bool:
-        weights = {k.weight for k in self._terms}
-        return len(weights) <= 1
-
     def __iter__(self) -> Iterator[tuple[Index, Fraction]]:
         return iter(self._terms.items())
 

@@ -2,6 +2,8 @@
 
 from itertools import product
 
+import numpy as np
+
 from fmpl.evaluate import eval_fmp, eval_zeta
 from fmpl.identities import _coef_mod
 from fmpl.modular import ModPoly, ensure_prime
@@ -52,18 +54,26 @@ def index_pairs_up_to(max_total_weight: int) -> list[tuple[Index, Index]]:
 
 
 def eval_expression_per_term(expr, p):
-    """The generator sum in F_p[T], one scaled and shifted li polynomial per term.
+    """The generator sum in F_p[T], one scaled and shifted li table per term.
 
-    The reference for identities.eval_expression: it raises
-    ExceptionalPrimeError at the first term whose denominator p divides.
+    The reference for identities.eval_expression: each term's eval_fmp
+    coefficients times its scalar are added into one int64 array at offset
+    p * tpow and reduced after each add (entries stay below p + (p - 1)^2).
+    It raises ExceptionalPrimeError at the first term whose denominator p
+    divides.
     """
     ensure_prime(p)
-    out = ModPoly.zero(p)
+    parts = []
     for t in expr.terms:
         scalar = _coef_mod(t.coef, p) * eval_zeta(t.zeta_index, p) % p
         if scalar:
-            out = out + eval_fmp(t.li_index, p).scaled(scalar).shifted(p * t.tpow)
-    return out
+            parts.append((p * t.tpow, scalar, eval_fmp(t.li_index, p).coeffs))
+    out = np.zeros(max((shift + len(c) for shift, _, c in parts), default=0), dtype=np.int64)
+    for shift, scalar, coeffs in parts:
+        window = out[shift : shift + len(coeffs)]
+        window += coeffs * scalar
+        window %= p
+    return ModPoly(p, out)
 
 
 def reversed_image(fs):

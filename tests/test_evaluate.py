@@ -18,8 +18,6 @@ from fmpl.evaluate import (
     eval_fmp_triple,
     eval_zeta,
     eval_zeta_variant,
-    partial_sum_table,
-    prefix_tables,
     walk,
     zeta_sums,
     zeta_values,
@@ -56,7 +54,6 @@ def test_evaluators_reject_composite_modulus_on_every_call(n):
         lambda: eval_fmp(I(1), n),
         lambda: eval_zeta_variant(1, I(1), n),
         lambda: eval_fmp_triple(I(1), I(1), I(1), n),
-        lambda: partial_sum_table(I(1), n),
     )
     for _ in range(2):
         for call in calls:
@@ -64,19 +61,31 @@ def test_evaluators_reject_composite_modulus_on_every_call(n):
                 call()
 
 
+def walked_tables(trie, p, cap=None):
+    """Each of the trie's indices with its table from walk, asserting that each comes once."""
+    out = {}
+    for ids, rows in walk(trie, p, cap):
+        for i, row in zip(ids.tolist(), rows):
+            assert trie.indices[i] not in out
+            out[trie.indices[i]] = row
+    return out
+
+
 @pytest.mark.parametrize("p", (2, 5, 13, 1009))
 def test_prefix_tables_match_single_index_tables(p):
     pool = indices_up_to(6, max_depth=4)
     given_order = pool[::-1] + pool[::3]  # unsorted, with repeats
-    walked = list(prefix_tables(given_order, p))
-    assert [k for k, _ in walked] == sorted(pool)
-    for k, table in walked:
-        expected = partial_sum_table(k, p).values if k.depth else np.ones(1, dtype=np.int64)
-        assert np.array_equal(table, expected), (k, p)
+    trie = PrefixTrie(given_order)
+    assert trie.indices == sorted(pool)
+    walked = walked_tables(trie, p)
+    assert sorted(walked) == sorted(pool)
+    for k, table in walked.items():
+        assert np.array_equal(table, PartialSumTable.of(k, p).values), (k, p)
         assert not table.flags.writeable
-    zeta = dict(prefix_tables(given_order, p, p))
-    for k, table in walked:
+    zeta = walked_tables(trie, p, p)
+    for k, table in walked.items():
         assert np.array_equal(zeta[k], table[:p]), (k, p)
+        assert np.array_equal(zeta[k], PartialSumTable.of(k, p, p).values), (k, p)
     values = zeta_values(given_order, p)
     for k in pool:
         if k.depth == 0:
@@ -93,13 +102,12 @@ def test_walk_is_the_same_at_every_block_size(monkeypatch, block, p):
     # one node per step, a few per step, and each level whole in one step
     monkeypatch.setattr(evaluate, "WALK_BLOCK_BYTES", block)
     pool = indices_up_to(7, max_depth=4)
-    walked = list(prefix_tables(pool, p))
-    assert [k for k, _ in walked] == sorted(pool)
-    for k, table in walked:
-        expected = partial_sum_table(k, p).values if k.depth else np.ones(1, dtype=np.int64)
-        assert np.array_equal(table, expected), (k, p)
-        assert not table.flags.writeable
     trie = PrefixTrie(pool)
+    walked = walked_tables(trie, p)
+    assert sorted(walked) == sorted(pool)
+    for k, table in walked.items():
+        assert np.array_equal(table, PartialSumTable.of(k, p).values), (k, p)
+        assert not table.flags.writeable
     zeta = zeta_sums(trie, p)
     assert zeta.tolist() == [eval_zeta(k, p) for k in trie.indices]
     need = np.arange(len(trie.indices)) % 3 == 1
@@ -108,7 +116,7 @@ def test_walk_is_the_same_at_every_block_size(monkeypatch, block, p):
         seen.update(zip(ids.tolist(), tables))
     assert sorted(seen) == np.flatnonzero(need).tolist()
     for i, table in seen.items():
-        assert np.array_equal(table, dict(walked)[trie.indices[i]])
+        assert np.array_equal(table, walked[trie.indices[i]])
 
 
 def test_walk_builds_each_restricted_trie_once(monkeypatch):
@@ -122,7 +130,7 @@ def test_walk_builds_each_restricted_trie_once(monkeypatch):
     needs = [np.arange(n) % (2 + i) == 1 for i in range(RESTRICTED_TRIES + 1)]
 
     def check(p, need):
-        full = dict(prefix_tables(trie.indices, p))
+        full = walked_tables(trie, p)
         seen = {}
         for ids, tables in walk(trie, p, need=need):
             seen.update(zip(ids.tolist(), tables))
@@ -209,6 +217,21 @@ def test_single_index_tables_are_counted_once_in_the_memo(monkeypatch):
     assert f.coeffs.nbytes == 8 * (k.depth * (p - 1) + 1)
 
 
+def test_eval_zeta_tables_stay_at_length_p(monkeypatch):
+    # zeta's partial sums stay below p, so each stage table is cut at p:
+    # O(dep * p) memory.  Uncut, the depth-7 tables would reach 7 (p - 1) + 1
+    # entries, where summing only their first p would still give the value.
+    monkeypatch.setattr(modular, "_TABLES", modular._PrimeTables())
+    k, p = I(*(1,) * 7), 100003
+    tracemalloc.start()
+    try:
+        eval_zeta(k, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * p
+
+
 def test_eval_fmp_examples():
     assert eval_fmp(EMPTY, 5) == ModPoly.one(5)
     assert eval_fmp(I(1), 3) == ModPoly(3, [0, 1, 2])
@@ -220,20 +243,28 @@ def test_eval_fmp_degree_order_bounds():
         for p in (5, 11):
             f = eval_fmp(k, p)
             if f:
-                assert f.order >= k.depth
+                assert np.flatnonzero(f.coeffs)[0] >= k.depth
                 assert f.degree <= k.depth * (p - 1)
 
 
 def test_partial_sum_table_invariants():
-    for k in (I(1), I(2, 1), I(1, 1, 2)):
-        for p in (5, 11):
-            table = partial_sum_table(k, p)
+    for p in (2, 5, 11):
+        assert PartialSumTable.of(EMPTY, p).values.tolist() == [1]
+        for k in (I(1), I(2, 1), I(1, 1, 2)):
+            table = PartialSumTable.of(k, p)
             assert table.stage == k.depth
             assert len(table.values) == k.depth * (p - 1) + 1
+            assert not table.values.flags.writeable
             n = np.arange(len(table.values))
             assert not table.values[n % p == 0].any()
             if k.depth > 1:
                 assert not table.values[: k.depth].any()
+            # zeta's cap keeps every stage at length p, the first p entries of the table
+            capped = PartialSumTable.of(k, p, p)
+            assert (capped.stage, len(capped.values)) == (k.depth, p)
+            assert np.array_equal(capped.values, table.values[:p])
+        # stage 1 is the cached inverse-power table itself, not a copy
+        assert PartialSumTable.of(I(2), p).values is evaluate._inv_powers(2, p)
 
 
 def test_eval_zeta_variant_examples():
@@ -320,9 +351,7 @@ def test_oracle_equivalence_triple(p):
 
 def _triple_with_convolve_weights(lam, mu, nu, p):
     """The three-block polynomial with np.convolve weights, as before mul_mod."""
-    one = np.ones(1, dtype=np.int64)
-    fa = partial_sum_table(lam, p).values if lam.depth else one
-    fb = partial_sum_table(mu, p).values if mu.depth else one
+    fa, fb = PartialSumTable.of(lam, p).values, PartialSumTable.of(mu, p).values
     table = PartialSumTable(p, lam.depth + mu.depth, np.convolve(fa, fb) % p)
     for kz in nu.parts:
         table = table.advanced(kz)

@@ -91,8 +91,7 @@ def test_word_to_index_rejects_inadmissible():
 
 def test_formal_sum_canonicalization():
     fs = FormalSum([(I(2, 3), 1), (I(2, 3), 2), (I(1), 1), (I(1), -1)])
-    assert fs.items() == [(I(2, 3), Fraction(3))]
-    assert fs.coefficient(I(1)) == 0
+    assert list(fs) == [(I(2, 3), Fraction(3))]
     assert not FormalSum()
     assert FormalSum.single(I(1)) - FormalSum.single(I(1)) == FormalSum()
 
@@ -137,16 +136,14 @@ def test_products_commute_and_associate_exhaustively(product):
 @given(a=small_indices, b=small_indices)
 def test_products_weight_homogeneous(a, b):
     for product in (shuffle, stuffle):
-        fs = product(a, b)
-        assert fs.is_weight_homogeneous()
-        for k, coef in fs:
+        for k, coef in product(a, b):
             assert k.weight == a.weight + b.weight
             assert coef > 0 and coef.denominator == 1
 
 
 @given(a=small_indices, b=small_indices)
 def test_shuffle_coefficient_sum_is_binomial(a, b):
-    total = shuffle(a, b).total_coefficient()
+    total = sum(c for _, c in shuffle(a, b))
     assert total == comb(a.weight + b.weight, a.weight)
 
 
