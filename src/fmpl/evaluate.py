@@ -143,6 +143,8 @@ def _window_step(
 class PrefixTrie:
     """The prefix trie of a set of indices, stored by level; it does not depend on p.
 
+    A trie never changes once it is built, so one trie serves every prime.
+
     ``indices`` holds the distinct indices in sorted order, and an index's
     position there is its leaf id.  Level j holds the distinct length-j
     prefixes, in sorted order; level 0 is the root, the empty prefix.  For
@@ -178,68 +180,19 @@ class PrefixTrie:
                 leaf[j].append(-1)
             leaf[k.depth][path[-1]] = i
             prev = k.parts
-        self._link(
-            [np.array(ids, dtype=np.intp) for ids in parent],
-            [np.array(ks, dtype=np.int64) for ks in part],
-            [np.array(ids, dtype=np.intp) for ids in leaf],
-        )
-
-    def _link(self, parent: list[np.ndarray], part: list[np.ndarray], leaf: list[np.ndarray]) -> None:
-        self.depth = len(leaf) - 1
-        self.parent, self.part, self.leaf = parent, part, leaf
-        self._restricted: dict[bytes, PrefixTrie] = {}
+        self.depth = depth
+        self.parent = [np.array(ids, dtype=np.intp) for ids in parent]
+        self.part = [np.array(ks, dtype=np.int64) for ks in part]
+        self.leaf = [np.array(ids, dtype=np.intp) for ids in leaf]
         self.first_child, self.fed, self.parent_row = [], [], [np.zeros(1, dtype=np.intp)]
-        for j in range(self.depth):
-            below = parent[j + 1]
-            self.first_child.append(np.searchsorted(below, np.arange(len(leaf[j]) + 1)))
+        for j in range(depth):
+            below = self.parent[j + 1]
+            self.first_child.append(np.searchsorted(below, np.arange(len(self.leaf[j]) + 1)))
             new = np.ones(len(below), dtype=bool)
             np.not_equal(below[1:], below[:-1], out=new[1:])
             self.fed.append(below[new])
             self.parent_row.append(np.cumsum(new) - 1)
-        self.first_child.append(np.zeros(len(leaf[self.depth]) + 1, dtype=np.intp))
-
-    def restricted(self, need: np.ndarray) -> "PrefixTrie":
-        """The trie of the indices whose entry in the boolean array need is set.
-
-        Its leaf ids stay those of this trie.  The trie keeps the
-        RESTRICTED_TRIES need patterns it was last asked for, with their
-        tries: a sweep asks for the same few patterns at every prime.
-        """
-        key = need.tobytes()
-        sub = self._restricted.pop(key, None)
-        if sub is None:
-            sub = self._restrict(need)
-            if len(self._restricted) >= RESTRICTED_TRIES:
-                del self._restricted[next(iter(self._restricted))]
-        self._restricted[key] = sub  # most recently used last
-        return sub
-
-    def _restrict(self, need: np.ndarray) -> "PrefixTrie":
-        ends = [ids >= 0 for ids in self.leaf]  # the nodes where a needed index ends
-        keep = [np.zeros(0, dtype=bool)] * (self.depth + 1)  # and the nodes on their paths
-        for j in range(self.depth, -1, -1):
-            ends[j][ends[j]] = need[self.leaf[j][ends[j]]]
-            keep[j] = ends[j].copy()
-            if j < self.depth:
-                below = np.concatenate(([0], np.cumsum(keep[j + 1])))
-                fc = self.first_child[j]
-                keep[j] |= below[fc[1:]] > below[fc[:-1]]
-        depth = max((j for j in range(self.depth + 1) if keep[j].any()), default=0)
-        parent, part, leaf = [self.parent[0]], [self.part[0]], [np.where(ends[0], self.leaf[0], -1)]
-        for j in range(1, depth + 1):
-            nodes = np.flatnonzero(keep[j])
-            parent.append((np.cumsum(keep[j - 1]) - 1)[self.parent[j][nodes]])
-            part.append(self.part[j][nodes])
-            leaf.append(np.where(ends[j][nodes], self.leaf[j][nodes], -1))
-        sub = object.__new__(PrefixTrie)
-        sub.indices = self.indices
-        sub._link(parent, part, leaf)
-        return sub
-
-
-# Need patterns whose restricted tries each PrefixTrie keeps, least recently
-# used dropped first.
-RESTRICTED_TRIES = 8
+        self.first_child.append(np.zeros(len(self.leaf[depth]) + 1, dtype=np.intp))
 
 
 @lru_cache(maxsize=256)
@@ -253,18 +206,14 @@ def _trie_of(indices: frozenset) -> PrefixTrie:
 WALK_BLOCK_BYTES = 128 << 10
 
 
-def walk(
-    trie: PrefixTrie, p: int, cap: Optional[int] = None, need: Optional[np.ndarray] = None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def walk(trie: PrefixTrie, p: int, cap: Optional[int] = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (leaf ids, tables), one read-only table row per leaf id, for the trie's indices.
 
     The stage-j table of a node has length j * (p - 1) + 1, cut at cap >= p
     when one is given; the root's is [1], and stage 1 is the cached
-    inverse-power table.  Only the indices whose entry in the boolean array
-    need is set are yielded (all when need is None), and only the nodes on
-    their paths are computed, from the trie that PrefixTrie.restricted
-    keeps for this need pattern.  Each index comes once, in no particular
-    order.
+    inverse-power table.  Every node is computed and each index comes once,
+    in no particular order; a caller that wants only some of the indices
+    skips the others where it reads the tables.
 
     The walk goes by levels: consecutive nodes of a level are computed by
     one batched _window_step from their parents' rows, in blocks of at most
@@ -275,8 +224,6 @@ def walk(
     large p, where a single table passes the bound, a block is one node and
     the walk is the depth-first walk of one path.
     """
-    if need is not None and not need.all():
-        trie = trie.restricted(need)
     depth = trie.depth
     lengths = [1] + [j * (p - 1) + 1 if cap is None else min(cap, j * (p - 1) + 1) for j in range(1, depth + 1)]
 
@@ -344,7 +291,7 @@ class PartialSumTable:
     [stage, stage*(p-1)], cut at length cap >= p when one is given.  Tables
     produced by `advanced` are zero at every n divisible by p (excluded
     denominators); a start table, such as the convolved weights of the
-    three-block sum, need not be.
+    three-block sum, may be nonzero there.
     """
 
     p: int
@@ -397,11 +344,11 @@ def eval_fmp(k: Index, p: int) -> ModPoly:
 
 
 def eval_zeta_variant(i: int, k: Index, p: int) -> int:
-    """The variant with last partial sum restricted to ((i-1)p, ip)."""
+    """The variant whose last partial sum lies in ((i-1)p, ip)."""
     ensure_prime(p)
     r = k.depth
     if r < 1:
-        raise ValueError("variant evaluation needs a nonempty index")
+        raise ValueError("variant evaluation requires a nonempty index")
     if not 1 <= i <= r:
         raise ValueError(f"variant selector i={i} outside [1, {r}]")
     vals = eval_fmp(k, p).coeffs

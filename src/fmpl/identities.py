@@ -28,10 +28,11 @@ coefficients, and for each term its zeta leaf, its coefficient and its
 reduced once, one walk of the zeta trie gives every zeta value, and each
 term c * zeta, reduced below p, is summed into its group's scalar by one
 np.add.reduceat: a sum of at most n_terms values < p, exact while
-n_terms * p < 2^63.  Only the li indices with a nonzero scalar are walked,
-and each table times its scalar is added into one int64 accumulator at
-offset p * tpow and reduced at once: the accumulator's entries stay below
-p and each product below (p - 1)^2, so no sum reaches p^2 < 2^62.
+n_terms * p < 2^63.  The whole li trie is walked at every prime; a group
+whose scalar is 0 is skipped where the tables are added, and each other
+table times its scalar is added into one int64 accumulator at offset
+p * tpow and reduced at once: the accumulator's entries stay below p and
+each product below (p - 1)^2, so no sum reaches p^2 < 2^62.
 verify_eq7's right side is summed in the same accumulator.
 
 The verify_* functions compare two independently computed F_p (or
@@ -60,7 +61,7 @@ from .evaluate import (
 )
 from .modular import ModPoly, ensure_prime, inverse_table, mod_inverse, reduce_mod
 from .surjections import variant_expansion
-from .words import EMPTY, FormalSum, Index, Rational, concat, shuffle, star, stuffle
+from .words import EMPTY, FormalSum, Index, Rational, concat, exact, shuffle, star, stuffle
 
 
 class ExceptionalPrimeError(ValueError):
@@ -76,7 +77,7 @@ class ExceptionalPrimeError(ValueError):
 class CorrectionTerm:
     """One generator coef * zeta(zeta_index) * (T^p)^tpow * li(li_index)."""
 
-    coef: Fraction
+    coef: Rational
     zeta_index: Index
     tpow: int
     li_index: Index
@@ -145,7 +146,7 @@ class CorrectionExpression:
         return CorrectionExpression(self._terms + other._terms)
 
     def __mul__(self, c: Rational) -> "CorrectionExpression":
-        c = Fraction(c)
+        c = exact(c)
         return CorrectionExpression(
             CorrectionTerm(t.coef * c, t.zeta_index, t.tpow, t.li_index) for t in self._terms
         )
@@ -167,7 +168,7 @@ class CorrectionExpression:
 
 
 def _pure(coef: Rational, li_index: Index) -> CorrectionTerm:
-    return CorrectionTerm(Fraction(coef), EMPTY, 0, li_index)
+    return CorrectionTerm(coef, EMPTY, 0, li_index)
 
 
 def _zeta_block(sign: int, fs: FormalSum, tpow: int, li_index: Index) -> list[CorrectionTerm]:
@@ -243,7 +244,7 @@ def term_product(t1: CorrectionTerm, t2: CorrectionTerm) -> CorrectionExpression
     return CorrectionExpression(out)
 
 
-def _coef_mod(coef: Fraction, p: int) -> int:
+def _coef_mod(coef: Rational, p: int) -> int:
     if coef.denominator % p == 0:
         raise ExceptionalPrimeError(p, coef)
     return coef.numerator * mod_inverse(coef.denominator, p) % p
@@ -267,26 +268,25 @@ def _accumulate(length: int, terms: Iterable[tuple[int, int, np.ndarray]], p: in
 
 @dataclass(frozen=True)
 class _Plan:
-    """What eval_expression needs of an expression, at any prime.
+    """What eval_expression reads of an expression, at any prime.
 
     The terms are ordered by group, a group being the terms that share an
     (li index, T-power) pair; group g's terms are starts[g] to
     starts[g + 1] - 1.  For each term, ``coef_of`` is its coefficient's
     position in ``coefs`` (the distinct coefficients in order of first
     appearance in the expression) and ``zeta_of`` its zeta index's leaf id
-    in the ``zeta`` trie.  For each group, ``li_of`` is its li index's leaf
-    id in the ``li`` trie and ``end`` is (tpow, li depth), which puts the
-    end of its table at p * tpow + depth * (p - 1) + 1; ``groups_of[leaf]``
-    lists each li index's groups as (g, tpow) pairs.
+    in the ``zeta`` trie.  For each group, ``end`` is (tpow, li depth),
+    which puts the end of its table at p * tpow + depth * (p - 1) + 1;
+    ``groups_of[leaf]`` lists, for each leaf id of the ``li`` trie, its li
+    index's groups as (g, tpow) pairs.
     """
 
-    coefs: tuple[Fraction, ...]
+    coefs: tuple[Rational, ...]
     coef_of: np.ndarray
     zeta: PrefixTrie
     zeta_of: np.ndarray
     starts: np.ndarray
     li: PrefixTrie
-    li_of: np.ndarray
     end: np.ndarray
     groups_of: tuple[tuple[tuple[int, int], ...], ...]
 
@@ -294,7 +294,7 @@ class _Plan:
 @lru_cache(maxsize=1024)
 def _plan(expr: CorrectionExpression) -> _Plan:
     terms = expr.terms
-    positions: dict[Fraction, int] = {}
+    positions: dict[Rational, int] = {}
     coef_of = [positions.setdefault(t.coef, len(positions)) for t in terms]
     zeta = PrefixTrie(t.zeta_index for t in terms)
     li = PrefixTrie(t.li_index for t in terms)
@@ -314,7 +314,6 @@ def _plan(expr: CorrectionExpression) -> _Plan:
         zeta_of=np.array([zeta_leaf[terms[i].zeta_index] for i in order], dtype=np.intp),
         starts=np.array(starts, dtype=np.intp),
         li=li,
-        li_of=np.array([leaf for leaf, _ in groups], dtype=np.intp),
         end=np.array([(tpow, li.indices[leaf].depth) for leaf, tpow in groups], dtype=np.int64).reshape(-1, 2),
         groups_of=tuple(map(tuple, groups_of)),
     )
@@ -329,10 +328,10 @@ def eval_expression(expr: CorrectionExpression, p: int) -> ModPoly:
     zeta values come from one walk of the plan's zeta trie.  Each term
     c * zeta is reduced below p, and np.add.reduceat sums each group's
     terms into its scalar: a sum of at most n_terms values < p, exact while
-    n_terms * p < 2^63.  The li tables, from a walk of the li trie that
-    visits only the indices with a nonzero scalar, are added times their
-    scalars into one accumulator (see _accumulate), whose sums stay
-    < p^2 < 2^62.
+    n_terms * p < 2^63.  One walk of the whole li trie gives every li
+    table; each is added times its group scalars into one accumulator (see
+    _accumulate), whose sums stay < p^2 < 2^62, and a group whose scalar is
+    0 is skipped there, as it is in the accumulator's length.
     """
     ensure_prime(p)
     if not expr:
@@ -344,13 +343,11 @@ def eval_expression(expr: CorrectionExpression, p: int) -> ModPoly:
     live = scalars != 0
     if not live.any():
         return ModPoly.zero(p)
-    need = np.zeros(len(plan.li.indices), dtype=bool)
-    need[plan.li_of[live]] = True
     length = int((plan.end[live] @ (p, p - 1)).max()) + 1
     s = scalars.tolist()
 
     def terms():
-        for leaves, tables in walk(plan.li, p, need=need):
+        for leaves, tables in walk(plan.li, p):
             for leaf, table in zip(leaves.tolist(), tables):
                 for g, tpow in plan.groups_of[leaf]:
                     if s[g]:
@@ -490,7 +487,7 @@ def verify_stuffle(k: Index, kp: Index, p: int) -> CheckResult:
 def verify_reversal(k: Index, p: int) -> CheckResult:
     """Last-band variant against (-1)^wt times the plain zeta value."""
     if k.depth < 1:
-        raise ValueError("reversal check needs a nonempty index")
+        raise ValueError("reversal check requires a nonempty index")
     lhs = eval_zeta_variant(k.depth, k, p)
     rhs = (-1) ** k.weight * eval_zeta(k, p) % p
     return _scalar_diff(lhs, rhs)

@@ -488,15 +488,6 @@ class ModPoly:
             return ModPoly.zero(self.p)
         return ModPoly(self.p, mul_mod(self.coeffs, other.coeffs, self.p))
 
-    def scaled(self, c: int) -> "ModPoly":
-        return ModPoly(self.p, self.coeffs * (c % self.p))
-
-    def shifted(self, n: int) -> "ModPoly":
-        """Multiply by T^n."""
-        if not self or n == 0:
-            return self
-        return ModPoly(self.p, np.concatenate([np.zeros(n, dtype=np.int64), self.coeffs]))
-
     def evaluate(self, t: int) -> int:
         """The value at t in F_p, equal to Horner's rule.
 

@@ -8,13 +8,15 @@ are all coprime to p: the partial sums reduce mod p to a strictly
 increasing residue tuple indexed through phi, and the pairing is a
 bijection realized here by f_map / g_map.
 
-grouped_index(phi, k) collapses an index along the fibers of phi; summing
-it over a beta class expands the last-sum-restricted zeta variant into
-ordinary zeta values (variant_expansion).
+grouped_index(phi, k) sums the parts of an index that phi sends to the
+same value; summing it over a beta class expands the zeta variant whose
+last partial sum lies in ((i-1)p, ip) into ordinary zeta values
+(variant_expansion).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -55,13 +57,6 @@ class Surjection:
     @property
     def r(self) -> int:
         return len(self.values)
-
-    def fibers(self) -> list[tuple[int, ...]]:
-        """Positions mapped to each of 1..s (1-based positions)."""
-        out: list[list[int]] = [[] for _ in range(self.s)]
-        for pos, v in enumerate(self.values, start=1):
-            out[v - 1].append(pos)
-        return [tuple(f) for f in out]
 
     def __str__(self) -> str:
         return "(" + ",".join(str(v) for v in self.values) + ")"
@@ -157,10 +152,13 @@ def g_map(phi: Surjection, A: ResidueTuple) -> tuple[int, ...]:
 
 
 def grouped_index(phi: Surjection, k: Index) -> Index:
-    """Collapse k along the fibers of phi: part t is the sum over phi(j) = t."""
+    """Collapse k along phi: part t is the sum of the parts k_j with phi(j) = t."""
     if k.depth != phi.r:
         raise ValueError(f"index depth {k.depth} does not match map size {phi.r}")
-    return Index(tuple(sum(k[j - 1] for j in fiber) for fiber in phi.fibers()))
+    parts = [0] * phi.s
+    for v, kj in zip(phi.values, k.parts):
+        parts[v - 1] += kj
+    return Index(tuple(parts))
 
 
 @lru_cache(maxsize=None)
@@ -168,16 +166,16 @@ def variant_expansion(i: int, k: Index) -> FormalSum:
     """Expand the i-th zeta variant of k into ordinary zeta arguments.
 
     One unit term per level map in the beta class i of size dep(k), with
-    the index collapsed along its fibers.  Every resulting index keeps the
+    the index collapsed along the map.  Every resulting index keeps the
     weight of k.  The expansion does not depend on p and FormalSum is
     immutable, so it is cached by (i, k) for a sweep's every prime.
     """
     r = k.depth
     if r < 1:
-        raise ValueError("variant expansion needs a nonempty index")
+        raise ValueError("variant expansion requires a nonempty index")
     if not 1 <= i <= r:
         raise ValueError(f"variant selector i={i} outside [1, {r}]")
-    return FormalSum([(grouped_index(phi, k), 1) for phi in phi_class(r, i)])
+    return FormalSum(Counter(grouped_index(phi, k) for phi in phi_class(r, i)))
 
 
 def count_x_tuples(r: int, p: int) -> int:

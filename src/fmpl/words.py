@@ -11,7 +11,9 @@ converted back to indices; the stuffle product is computed directly on
 indices by the quasi-shuffle recursion with the extra merge term.
 
 Formal sums keep exact rational coefficients and canonical (lexicographic)
-term order so that equality and serialization are deterministic.
+term order so that equality and serialization are deterministic.  An int
+coefficient stays an int, and anything else becomes a Fraction, so the
+integer sums that every product here produces carry no Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
 Rational = Union[int, Fraction]
+
+
+def exact(c) -> Rational:
+    """c itself when it is an int, else Fraction(c)."""
+    return c if type(c) is int else Fraction(c)
 
 
 @dataclass(frozen=True, order=True)
@@ -135,12 +142,12 @@ class FormalSum:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[Mapping[Index, Rational], Iterable[tuple[Index, Rational]]] = ()):
-        merged: dict[Index, Fraction] = {}
+        merged: dict[Index, Rational] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for k, c in items:
-            c = Fraction(c)
+            c = exact(c)
             if c:
-                acc = merged.get(k, Fraction(0)) + c
+                acc = merged.get(k, 0) + c
                 if acc:
                     merged[k] = acc
                 else:
@@ -154,7 +161,7 @@ class FormalSum:
     def single(cls, k: Index, c: Rational = 1) -> "FormalSum":
         return cls([(k, c)])
 
-    def __iter__(self) -> Iterator[tuple[Index, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Index, Rational]]:
         return iter(self._terms.items())
 
     def __len__(self) -> int:
@@ -178,7 +185,8 @@ class FormalSum:
         return self + (-1) * other
 
     def __mul__(self, c: Rational) -> "FormalSum":
-        return FormalSum([(k, v * Fraction(c)) for k, v in self._terms.items()])
+        c = exact(c)
+        return FormalSum([(k, v * c) for k, v in self._terms.items()])
 
     __rmul__ = __mul__
 

@@ -7,7 +7,6 @@ import pytest
 from helpers import indices_up_to, index_triples_up_to
 from fmpl import evaluate, modular
 from fmpl.evaluate import (
-    RESTRICTED_TRIES,
     PartialSumTable,
     PrefixTrie,
     _window_step,
@@ -110,44 +109,6 @@ def test_walk_is_the_same_at_every_block_size(monkeypatch, block, p):
         assert not table.flags.writeable
     zeta = zeta_sums(trie, p)
     assert zeta.tolist() == [eval_zeta(k, p) for k in trie.indices]
-    need = np.arange(len(trie.indices)) % 3 == 1
-    seen = {}
-    for ids, tables in walk(trie, p, need=need):
-        seen.update(zip(ids.tolist(), tables))
-    assert sorted(seen) == np.flatnonzero(need).tolist()
-    for i, table in seen.items():
-        assert np.array_equal(table, walked[trie.indices[i]])
-
-
-def test_walk_builds_each_restricted_trie_once(monkeypatch):
-    # a sweep asks for the same need pattern at every prime; the pruned trie
-    # is built at the first and kept, for at most RESTRICTED_TRIES patterns
-    trie = PrefixTrie(indices_up_to(6, max_depth=3))
-    built = []
-    restrict = PrefixTrie._restrict
-    monkeypatch.setattr(PrefixTrie, "_restrict", lambda self, need: built.append(1) or restrict(self, need))
-    n = len(trie.indices)
-    needs = [np.arange(n) % (2 + i) == 1 for i in range(RESTRICTED_TRIES + 1)]
-
-    def check(p, need):
-        full = walked_tables(trie, p)
-        seen = {}
-        for ids, tables in walk(trie, p, need=need):
-            seen.update(zip(ids.tolist(), tables))
-        assert sorted(seen) == np.flatnonzero(need).tolist()
-        for i, table in seen.items():
-            assert np.array_equal(table, full[trie.indices[i]]), (i, p)
-
-    for p in (5, 7, 101):
-        for need in needs[:RESTRICTED_TRIES]:
-            check(p, need)
-    assert len(built) == RESTRICTED_TRIES
-    check(11, needs[0])  # a hit makes needs[0] the most recently used
-    check(11, needs[-1])  # a new pattern drops the least recently used, needs[1]
-    check(11, needs[0])
-    assert len(built) == RESTRICTED_TRIES + 1
-    check(11, needs[1])
-    assert len(built) == RESTRICTED_TRIES + 2
 
 
 @pytest.mark.parametrize("p", (2097143, 2097169))

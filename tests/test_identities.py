@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 from fractions import Fraction
 from itertools import product
@@ -28,7 +29,8 @@ from fmpl.identities import (
     verify_stuffle,
 )
 from fmpl.modular import ModPoly, primes_in_range
-from fmpl.words import EMPTY, FormalSum, Index, concat, shuffle
+from fmpl.surjections import variant_expansion
+from fmpl.words import EMPTY, FormalSum, Index, concat, shuffle, stuffle
 
 I = Index.of
 
@@ -120,13 +122,36 @@ def test_pure_part_orientation_mismatch():
     # zeta(m) * (T^p)^n * li(m') with wt(m') <= 2, while the reversed
     # remainder lies in their span
     for p in (5, 7):
-        gens = [eval_fmp(m, p).shifted(p * n) for n in range(3) for m in indices_up_to(2)]
+        gens = [
+            ModPoly(p, np.concatenate((np.zeros(p * n, dtype=np.int64), eval_fmp(m, p).coeffs)))
+            for n in range(3)
+            for m in indices_up_to(2)
+        ]
         base = _rank_mod_p(gens, p)
         prod = eval_fmp(I(1), p) * eval_fmp(I(2), p)
-        literal = prod - eval_fmp(I(1, 2), p) - eval_fmp(I(2, 1), p).scaled(2)
-        reversed_ = prod - eval_fmp(I(2, 1), p) - eval_fmp(I(1, 2), p).scaled(2)
+        literal = prod - eval_fmp(I(1, 2), p) - ModPoly(p, 2 * eval_fmp(I(2, 1), p).coeffs)
+        reversed_ = prod - eval_fmp(I(2, 1), p) - ModPoly(p, 2 * eval_fmp(I(1, 2), p).coeffs)
         assert _rank_mod_p(gens + [literal], p) == base + 1, p
         assert _rank_mod_p(gens + [reversed_], p) == base, p
+
+
+# SHA-256 of the grid below as recorded at commit 71f1a90; an int and a
+# Fraction of equal value print alike, so the digest holds for either
+SYMBOLIC_DIGEST = "87900e4ee7af81386090b7175ec5a3225c7811ef0d3f96d77f5c6e85449a7866"
+
+
+def test_symbolic_layer_is_bit_identical():
+    # str() of every product and expansion on a small grid, so a change to
+    # the symbolic layer's representation shows up as a changed digest
+    h = hashlib.sha256()
+    pool = indices_up_to(5)
+    for k, kp in product(pool, repeat=2):
+        if k.depth + kp.depth <= 6 and k.weight + kp.weight <= 7:
+            h.update(f"{k}|{kp}|{shuffle_correction(k, kp)}|{shuffle(k, kp)}|{stuffle(k, kp)}\n".encode())
+    for k in indices_up_to(7, 6, include_empty=False):
+        for i in range(1, k.depth + 1):
+            h.update(f"{i}|{k}|{variant_expansion(i, k)}\n".encode())
+    assert h.hexdigest() == SYMBOLIC_DIGEST
 
 
 def test_correction_grading():
@@ -149,15 +174,15 @@ def test_expand_triple_grading():
                 assert b <= total - 1
 
 
-@pytest.mark.parametrize(
-    "t1,t2",
-    [
-        (term(2, zeta=(2,), tpow=1, li=(1,)), term(3, zeta=(1, 1), tpow=0, li=(2,))),
-        (term(1, li=(1, 1)), term(1, li=(2,))),
-        (term(-1, zeta=(3,), tpow=2), term(1, zeta=(1,), tpow=0, li=(1, 2))),
-        (term(1), term(5, zeta=(2, 1), tpow=1, li=(1,))),
-    ],
-)
+TERM_PAIRS = [
+    (term(2, zeta=(2,), tpow=1, li=(1,)), term(3, zeta=(1, 1), tpow=0, li=(2,))),
+    (term(1, li=(1, 1)), term(1, li=(2,))),
+    (term(-1, zeta=(3,), tpow=2), term(1, zeta=(1,), tpow=0, li=(1, 2))),
+    (term(1), term(5, zeta=(2, 1), tpow=1, li=(1,))),
+]
+
+
+@pytest.mark.parametrize("t1,t2", TERM_PAIRS)
 def test_term_product_grades_add(t1, t2):
     a1, b1 = t1.bigrade
     a2, b2 = t2.bigrade
@@ -172,6 +197,23 @@ def test_term_product_grades_add(t1, t2):
     assert top, "the leading sublevel must survive"
 
 
+@pytest.mark.parametrize(
+    "t1,t2",
+    TERM_PAIRS
+    + [
+        # depth-2 zeta and li parts on both sides, so both stuffles merge parts
+        (term(2, zeta=(2, 1), tpow=1, li=(1, 2)), term(-1, zeta=(1, 2), tpow=0, li=(2, 1))),
+        (term(1, zeta=(1, 1), tpow=2, li=(1, 1)), term(3, zeta=(3, 1), tpow=1, li=(2, 2))),
+    ],
+)
+def test_term_product_values(t1, t2):
+    # the product of the two evaluated generators is the evaluated rewrite
+    prod = term_product(t1, t2)
+    for p in (5, 7, 101, 1009):
+        lhs = eval_expression(CorrectionExpression([t1]), p) * eval_expression(CorrectionExpression([t2]), p)
+        assert lhs == eval_expression(prod, p), p
+
+
 def test_eval_expression_examples():
     assert eval_expression(CorrectionExpression(), 5) == ModPoly.zero(5)
     assert eval_expression(CorrectionExpression([term(1)]), 5) == ModPoly.one(5)
@@ -183,7 +225,7 @@ def test_eval_expression_exceptional_prime():
     expr = CorrectionExpression([term(Fraction(1, 5), li=(1,))])
     with pytest.raises(ExceptionalPrimeError):
         eval_expression(expr, 5)
-    assert eval_expression(expr, 7) == eval_fmp(I(1), 7).scaled(3)  # 1/5 = 3 mod 7
+    assert eval_expression(expr, 7) == ModPoly(7, 3 * eval_fmp(I(1), 7).coeffs)  # 1/5 = 3 mod 7
 
 
 def test_eval_expression_exceptional_prime_with_zero_zeta():

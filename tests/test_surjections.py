@@ -33,7 +33,7 @@ def test_surjection_validation():
     assert (phi.r, phi.s) == (3, 2)
     assert phi.delta == (0, 1, 1)
     assert phi.beta == 2
-    assert phi.fibers() == [(2,), (1, 3)]
+    assert grouped_index(phi, I(1, 10, 100)) == I(10, 101)  # position 2 to 1, positions 1 and 3 to 2
     with pytest.raises(ValueError):
         Surjection((1, 1))
     with pytest.raises(ValueError):
