@@ -27,8 +27,6 @@ from .surjections import (
     enumerate_phi,
     f_map,
     g_map,
-    grouped_index,
-    phi_class,
     variant_expansion,
 )
 from .evaluate import (

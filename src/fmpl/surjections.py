@@ -8,10 +8,10 @@ are all coprime to p: the partial sums reduce mod p to a strictly
 increasing residue tuple indexed through phi, and the pairing is a
 bijection realized here by f_map / g_map.
 
-grouped_index(phi, k) sums the parts of an index that phi sends to the
-same value; summing it over a beta class expands the zeta variant whose
-last partial sum lies in ((i-1)p, ip) into ordinary zeta values
-(variant_expansion).
+The zeta variant of k whose last partial sum lies in ((i-1)p, ip) expands
+into one term per map of class i: k with the parts that the map sends to
+one value summed (variant_expansion).  One pass grows the maps of every
+class, keeping only these grouped parts and the descent count.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Sequence
 
-from .words import EMPTY, FormalSum, Index
+from .words import FormalSum, Index
 
 # |Phi_r| grows like the ordered Bell numbers; r <= 8 covers desk scale.
 MAX_R = 8
@@ -79,36 +79,26 @@ class ResidueTuple:
 
 @lru_cache(maxsize=None)
 def enumerate_phi(r: int) -> tuple[Surjection, ...]:
-    """All level maps of domain size r, ordered by s then lexicographically."""
+    """All level maps of domain size r, ordered by s then lexicographically.
+
+    The maps grow position by position: the next position either repeats a
+    used value other than the last position's, or takes a new value v, and
+    every used value >= v moves up by one.  Each map arises exactly once,
+    and a new value never changes the order of the used ones, so a descent
+    at the new position is decided when it is added.
+    """
     if not 1 <= r <= MAX_R:
         raise ValueError(f"r={r} outside supported range [1, {MAX_R}]")
-    out: list[Surjection] = []
-    for s in range(1, r + 1):
-        prefix: list[int] = []
-
-        def extend(used: int):
-            pos = len(prefix)
-            if pos == r:
-                if used == s:
-                    out.append(Surjection(tuple(prefix)))
-                return
-            if s - used > r - pos:  # cannot reach surjectivity
-                return
-            for v in range(1, s + 1):
-                if prefix and prefix[-1] == v:
-                    continue
-                prefix.append(v)
-                extend(used + (1 if prefix.count(v) == 1 else 0))
-                prefix.pop()
-
-        extend(0)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def phi_class(r: int, i: int) -> tuple[Surjection, ...]:
-    """The beta-class: level maps of domain size r with beta == i."""
-    return tuple(phi for phi in enumerate_phi(r) if phi.beta == i)
+    maps = [(1,)]
+    for _ in range(r - 1):
+        grown = []
+        for vals in maps:
+            s = max(vals)
+            grown.extend(vals + (v,) for v in range(1, s + 1) if v != vals[-1])
+            grown.extend(tuple(u + (u >= v) for u in vals) + (v,) for v in range(1, s + 2))
+        maps = grown
+    maps.sort(key=lambda vals: (max(vals), vals))
+    return tuple(Surjection(vals) for vals in maps)
 
 
 def f_map(x: Sequence[int], p: int) -> tuple[Surjection, ResidueTuple]:
@@ -151,38 +141,52 @@ def g_map(phi: Surjection, A: ResidueTuple) -> tuple[int, ...]:
     return tuple(out)
 
 
-def grouped_index(phi: Surjection, k: Index) -> Index:
-    """Collapse k along phi: part t is the sum of the parts k_j with phi(j) = t."""
-    if k.depth != phi.r:
-        raise ValueError(f"index depth {k.depth} does not match map size {phi.r}")
-    parts = [0] * phi.s
-    for v, kj in zip(phi.values, k.parts):
-        parts[v - 1] += kj
-    return Index(tuple(parts))
-
-
 @lru_cache(maxsize=None)
+def _expansions(k: Index) -> tuple[FormalSum, ...]:
+    """variant_expansion(i, k) for i = 1, ..., dep(k), from one pass.
+
+    The maps grow as in enumerate_phi, depth first: groups holds k's parts
+    summed per used value, in the values' order; last is the previous rank."""
+    counts = [Counter() for _ in k.parts]  # indexed by descents = beta - 1
+    groups: list[int] = []
+
+    def grow(j: int, last: int, descents: int):
+        if j == k.depth:
+            counts[descents][tuple(groups)] += 1
+            return
+        for t in range(len(groups)):  # used value t: a descent iff t < last
+            if t != last:
+                groups[t] += k[j]
+                grow(j + 1, t, descents + (t < last))
+                groups[t] -= k[j]
+        for t in range(len(groups) + 1):  # new value at rank t: iff t <= last
+            groups.insert(t, k[j])
+            grow(j + 1, t, descents + (t <= last))
+            del groups[t]
+
+    grow(0, -1, 0)
+    return tuple(FormalSum((Index(parts), n) for parts, n in c.items()) for c in counts)
+
+
 def variant_expansion(i: int, k: Index) -> FormalSum:
     """Expand the i-th zeta variant of k into ordinary zeta arguments.
 
     One unit term per level map in the beta class i of size dep(k), with
     the index collapsed along the map.  Every resulting index keeps the
     weight of k.  The expansion does not depend on p and FormalSum is
-    immutable, so it is cached by (i, k) for a sweep's every prime.
+    immutable, so all classes of k are computed once, cached by k.
     """
     r = k.depth
-    if r < 1:
-        raise ValueError("variant expansion requires a nonempty index")
+    if not 1 <= r <= MAX_R:
+        raise ValueError(f"variant expansion requires an index of depth 1 to {MAX_R}, got {r}")
     if not 1 <= i <= r:
         raise ValueError(f"variant selector i={i} outside [1, {r}]")
-    return FormalSum(Counter(grouped_index(phi, k) for phi in phi_class(r, i)))
+    return _expansions(k)[i - 1]
 
 
 def count_x_tuples(r: int, p: int) -> int:
     """|X_r| by the classification: sum over s of |Phi_{r,s}| * C(p-1, s)."""
-    by_s: dict[int, int] = {}
-    for phi in enumerate_phi(r):
-        by_s[phi.s] = by_s.get(phi.s, 0) + 1
+    by_s = Counter(phi.s for phi in enumerate_phi(r))
     return sum(n * comb(p - 1, s) for s, n in by_s.items())
 
 
@@ -190,11 +194,10 @@ def bijection_roundtrip(r: int, p: int) -> tuple[bool, str]:
     """Exhaustively verify the tuple/(map, residues) bijection for (r, p).
 
     Checks g(f(x)) = x on every admissible tuple, f(g(phi, A)) = (phi, A)
-    on every pair, and that both enumerations have the same cardinality.
+    on every pair, and that the tuples number sum(|Phi_{r,s}| C(p-1, s)),
+    the number of pairs.
     Cost is O((p-1)^r).
     """
-    from itertools import product
-
     seen = 0
     for x in product(range(1, p), repeat=r):
         try:
@@ -208,15 +211,11 @@ def bijection_roundtrip(r: int, p: int) -> tuple[bool, str]:
     expected = count_x_tuples(r, p)
     if seen != expected:
         return False, f"|X_{r}| = {seen}, classification predicts {expected}"
-    pairs = 0
     for phi in enumerate_phi(r):
         for A_vals in combinations(range(1, p), phi.s):
             A = ResidueTuple(p, A_vals)
             x = g_map(phi, A)
-            pairs += 1
             phi2, A2 = f_map(x, p)
             if phi2 != phi or A2 != A:
                 return False, f"f(g({phi}, {A_vals})) = ({phi2}, {A2.values})"
-    if pairs != expected:
-        return False, f"pair count {pairs} != |X_{r}| = {expected}"
     return True, f"|X_{r}| = {seen} = sum(|Phi_{{{r},s}}|*C(p-1,s))"

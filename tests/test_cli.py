@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -175,6 +176,18 @@ def test_verify_prop24_too_deep_usage_error(capsys):
         main(["verify", "prop24", "-i", "1", "-k", "1,1,1,1,1,1,1,1,1", "--primes", "5..7", "--jobs", "1"])
     assert exc.value.code == 2
     assert "exceeds the supported maximum" in capsys.readouterr().err
+
+
+def test_product_correction_at_the_depth_limit_is_fast():
+    # dep(l) + dep(r) = MAX_R + 1 in a fresh interpreter, so nothing is cached
+    src = os.path.dirname(os.path.dirname(fmpl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-m", "fmpl.cli", "product", "correction", "-l", "1,1,1,1,1", "-r", "1,1,1,1"]
+    start = time.monotonic()
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 5, f"depth-9 correction took {elapsed:.1f}s"
 
 
 def test_verify_bijection_detail_lines(capsys):

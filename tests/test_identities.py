@@ -154,6 +154,22 @@ def test_symbolic_layer_is_bit_identical():
     assert h.hexdigest() == SYMBOLIC_DIGEST
 
 
+# SHA-256 of the depth grid below as recorded at commit eee6158
+DEPTH_DIGEST = "40f03cb81ec9c91ab3ca3ba65fa1335ceca43ea77dc48c22a0576b6070afe997"
+
+
+def test_depth_axis_is_bit_identical():
+    # every class of the deepest indices, and the depth-9 product's 1,908 terms
+    h = hashlib.sha256()
+    for k in [I(*(1,) * 7), I(*(1,) * 8), I(3, 1, 2, 1, 1, 2, 1, 1), I(2, 1, 1, 2, 1, 1, 1)]:
+        for i in range(1, k.depth + 1):
+            h.update(f"{i}|{k}|{variant_expansion(i, k)}\n".encode())
+    expr = shuffle_correction(I(*(1,) * 5), I(*(1,) * 4))
+    assert len(expr.terms) == 1908
+    h.update(f"{expr}\n".encode())
+    assert h.hexdigest() == DEPTH_DIGEST
+
+
 def test_correction_grading():
     for k, kp in index_pairs_up_to(5):
         total = k.weight + kp.weight

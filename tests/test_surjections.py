@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 from math import comb
 
@@ -19,8 +20,6 @@ from fmpl.surjections import (
     enumerate_phi,
     f_map,
     g_map,
-    grouped_index,
-    phi_class,
     variant_expansion,
 )
 from fmpl.words import EMPTY, FormalSum, Index
@@ -33,7 +32,6 @@ def test_surjection_validation():
     assert (phi.r, phi.s) == (3, 2)
     assert phi.delta == (0, 1, 1)
     assert phi.beta == 2
-    assert grouped_index(phi, I(1, 10, 100)) == I(10, 101)  # position 2 to 1, positions 1 and 3 to 2
     with pytest.raises(ValueError):
         Surjection((1, 1))
     with pytest.raises(ValueError):
@@ -92,12 +90,6 @@ def test_delta_invariants():
             assert 1 <= phi.beta <= r
 
 
-def test_beta_classes_partition():
-    for r in range(1, 6):
-        total = sum(len(phi_class(r, i)) for i in range(1, r + 1))
-        assert total == len(enumerate_phi(r))
-
-
 def test_f_map_examples():
     phi, A = f_map((3,), 5)
     assert phi.values == (1,) and A.values == (3,)
@@ -147,11 +139,34 @@ def test_count_x_tuples_direct():
     assert count_x_tuples(2, 5) == 12
 
 
-def test_grouped_index():
-    phi = Surjection((1, 2, 1))
-    assert grouped_index(phi, I(1, 2, 4)) == I(5, 2)
-    with pytest.raises(ValueError):
-        grouped_index(phi, I(1, 2))
+def collapse(phi, k):
+    """k summed along phi: part t is the sum of the parts k_j with phi(j) = t."""
+    parts = [0] * phi.s
+    for v, kj in zip(phi.values, k):
+        parts[v - 1] += kj
+    return Index(tuple(parts))
+
+
+def test_variant_expansion_matches_the_literal_definition():
+    assert collapse(Surjection((2, 1, 2)), I(1, 10, 100)) == I(10, 101)  # position 2 to 1, positions 1 and 3 to 2
+    for r in range(1, 7):
+        # distinct powers of 10 make every collapse of every map distinct
+        k = Index(tuple(10**j for j in range(r)))
+        for i in range(1, r + 1):
+            literal = Counter(collapse(phi, k) for phi in enumerate_phi(r) if phi.beta == i)
+            assert variant_expansion(i, k) == FormalSum(literal), (r, i)
+
+
+def test_class_sizes_match_the_inclusion_exclusion_count():
+    # |Phi_r|: maps [r] -> [s] with no equal neighbours, onto [s] by inclusion-exclusion
+    sizes = [
+        sum((-1) ** j * comb(s, j) * (s - j) * (s - j - 1) ** (r - 1) for s in range(1, r + 1) for j in range(s + 1))
+        for r in range(1, MAX_R + 1)
+    ]
+    assert sizes == [1, 2, 8, 44, 308, 2612, 25988, 296564]
+    for r, size in enumerate(sizes, start=1):
+        k = Index((1,) * r)
+        assert sum(c for i in range(1, r + 1) for _, c in variant_expansion(i, k)) == size, r
 
 
 def test_variant_expansion_band_one_is_identity():
@@ -171,6 +186,8 @@ def test_variant_expansion_argument_errors():
             variant_expansion(3, I(1, 2))
         with pytest.raises(ValueError):
             variant_expansion(0, I(1, 2))
+        with pytest.raises(ValueError):
+            variant_expansion(1, Index((1,) * (MAX_R + 1)))
 
 
 def test_variant_expansion_is_cached_by_band_and_index():
