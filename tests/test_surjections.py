@@ -147,8 +147,24 @@ def collapse(phi, k):
     return Index(tuple(parts))
 
 
-def test_variant_expansion_matches_the_literal_definition():
+def test_grouped_index():
     assert collapse(Surjection((2, 1, 2)), I(1, 10, 100)) == I(10, 101)  # position 2 to 1, positions 1 and 3 to 2
+    phi = Surjection((1, 2, 1))
+    assert collapse(phi, I(1, 2, 4)) == I(5, 2)
+    # the grouped index is one term of the variant expansion of phi's class
+    assert phi.beta == 2
+    assert dict(variant_expansion(phi.beta, I(1, 2, 4)))[I(5, 2)] == 1
+
+
+def test_beta_classes_partition():
+    for r in range(1, 6):
+        classes = [[phi for phi in enumerate_phi(r) if phi.beta == i] for i in range(1, r + 1)]
+        assert sum(len(c) for c in classes) == len(enumerate_phi(r))
+        k = Index((1,) * r)
+        assert [sum(c for _, c in variant_expansion(i, k)) for i in range(1, r + 1)] == [len(c) for c in classes]
+
+
+def test_variant_expansion_matches_the_literal_definition():
     for r in range(1, 7):
         # distinct powers of 10 make every collapse of every map distinct
         k = Index(tuple(10**j for j in range(r)))
