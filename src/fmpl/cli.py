@@ -157,7 +157,8 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.at is not None:
         print(value.evaluate(args.at))
     else:
-        print(value)
+        sys.stdout.writelines(value.text_chunks())  # str(value), one piece at a time
+        sys.stdout.write("\n")
     return 0
 
 

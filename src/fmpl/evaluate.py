@@ -46,6 +46,10 @@ amount of memory while checks that return to a few primes still hit.  The
 sizes are counted in bytes, not entries, because each table grows with p.
 A single index's final stage table is kept once, as eval_fmp's
 coefficients, which the variants and the three-block weights read too.
+eval_fmp and eval_fmp_triple hand their final tables, already in [0, p),
+to ModPoly._from_reduced, which keeps them without a copy or a second
+reduction; only a depth-1 eval_fmp copies, since its table is the cached
+inverse-power array.
 
 All arithmetic is exact: int64 modular arithmetic, plus mul_mod's product,
 which is exact at every p < MAX_PRIME and every length.  The naive
@@ -336,11 +340,14 @@ def eval_fmp(k: Index, p: int) -> ModPoly:
     """The polynomial sum of T^(last partial sum) / prod L_i^{k_i} in F_p[T].
 
     Its coefficients are the final stage table of k, trimmed of trailing
-    zeros; the memo keeps this one copy of the table, which the variants
-    and the three-block weights read too.
+    zeros and not copied otherwise; the memo keeps this one copy of the
+    table, which the variants and the three-block weights read too.  At
+    depth 1 the table is the cached inverse-power array, which is copied so
+    that the memo counts each array once.
     """
     ensure_prime(p)
-    return ModPoly(p, PartialSumTable.of(k, p).values)
+    values = PartialSumTable.of(k, p).values
+    return ModPoly._from_reduced(p, values.copy() if k.depth == 1 else values)
 
 
 def eval_zeta_variant(i: int, k: Index, p: int) -> int:
@@ -373,7 +380,7 @@ def eval_fmp_triple(lam: Index, mu: Index, nu: Index, p: int) -> ModPoly:
     table = PartialSumTable(p, lam.depth + mu.depth, mul_mod(fa.coeffs, fb.coeffs, p))
     for kz in nu.parts:
         table = table.advanced(kz)
-    return ModPoly(p, table.values)
+    return ModPoly._from_reduced(p, table.values)
 
 
 def _literal_block(k: Index, p: int, inv: list[int], start: int, term: int) -> Iterator[tuple[int, int]]:

@@ -21,19 +21,26 @@ so the pure part is the reversed image rev(shuffle(rev k, rev k')) of
 words.shuffle, e.g. li_1 * li_2 = li_{2,1} + 2 li_{1,2} + zeta(3) T^p.
 
 eval_expression takes an expression to its polynomial from a plan that is
-built once per expression and cached (_plan): the prefix tries of its
-distinct zeta and li indices (evaluate.PrefixTrie), its distinct
-coefficients, and for each term its zeta leaf, its coefficient and its
-(li index, T-power) group.  Per prime, the distinct coefficients are
-reduced once, one walk of the zeta trie gives every zeta value, and each
-term c * zeta, reduced below p, is summed into its group's scalar by one
-np.add.reduceat: a sum of at most n_terms values < p, exact while
-n_terms * p < 2^63.  The whole li trie is walked at every prime; a group
-whose scalar is 0 is skipped where the tables are added, and each other
-table times its scalar is added into one int64 accumulator at offset
-p * tpow and reduced at once: the accumulator's entries stay below p and
-each product below (p - 1)^2, so no sum reaches p^2 < 2^62.
-verify_eq7's right side is summed in the same accumulator.
+built once per expression and cached (_plan): the prefix trie of its
+distinct zeta indices, the prefix trie of the heads of its li indices (each
+less its last part), its distinct last parts and coefficients, and for each
+term its zeta leaf, its coefficient and its (li index, T-power) group.  Per
+prime, the distinct coefficients are reduced once, one walk of the zeta
+trie gives every zeta value, and each term c * zeta, reduced below p, is
+summed into its group's scalar by one np.add.reduceat: a sum of at most
+n_terms values < p, exact while n_terms * p < 2^63.  The li side is folded
+through one window step per last part b.  The step W_b that appends b is
+linear and commutes with T^p, since inv(n) depends only on n mod p, so
+
+    sum_g s_g T^(p t_g) li_(k_g) = sum_b W_b(A_b) + sum_(k_g empty) s_g T^(p t_g),
+    A_b = sum_(last(k_g) = b) s_g T^(p t_g) li_(head(k_g)),
+
+exactly.  Each head table is added times its group scalars into its
+part's row, and each row takes one window step; eval_expression gives the
+int64 bound and the length rule.  _accumulate sums scalar * T^offset *
+table terms into one int64 accumulator reduced after each add, so its
+entries stay below p and no sum reaches p^2 < 2^62; verify_eq7's right
+side is summed there.
 
 The verify_* functions compare two independently computed F_p (or
 F_p[T]) values and report the first difference.
@@ -50,7 +57,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .evaluate import (
+    WALK_BLOCK_BYTES,
     PrefixTrie,
+    _window_step,
     eval_fmp,
     eval_fmp_triple,
     eval_zeta,
@@ -266,6 +275,30 @@ def _accumulate(length: int, terms: Iterable[tuple[int, int, np.ndarray]], p: in
     return ModPoly(p, acc)
 
 
+def _fold(rows: np.ndarray, adds: Iterable[tuple[int, int, int, np.ndarray]], p: int) -> np.ndarray:
+    """Add scalar * T^offset * table into row r of rows for each (r, scalar, offset, table).
+
+    rows start in [0, p); every scalar and table entry lies in [0, p), and
+    each offset + len(table) is at most the width of rows.  Returns rows,
+    reduced into [0, p) in place.  int64 bound: each add puts at most
+    (p - 1)^2 < p^2 into an entry, so a row whose entries are < p can take
+    budget = (2^63 - p) // (p - 1)^2 adds before an entry could reach 2^63
+    (2 at p = 2^31 - 1, about 3.7e11 at p = 5000).  A row is reduced when it
+    has taken that many, and every row is reduced at the end, since the
+    window step that follows needs entries in [0, p).
+    """
+    budget = ((1 << 63) - p) // max(1, (p - 1) ** 2)
+    pending = [0] * len(rows)
+    for r, scalar, offset, table in adds:
+        if pending[r] == budget:
+            reduce_mod(rows[r], p)
+            pending[r] = 0
+        seg = rows[r, offset : offset + len(table)]
+        seg += table * scalar
+        pending[r] += 1
+    return reduce_mod(rows, p)
+
+
 @dataclass(frozen=True)
 class _Plan:
     """What eval_expression reads of an expression, at any prime.
@@ -275,10 +308,17 @@ class _Plan:
     starts[g + 1] - 1.  For each term, ``coef_of`` is its coefficient's
     position in ``coefs`` (the distinct coefficients in order of first
     appearance in the expression) and ``zeta_of`` its zeta index's leaf id
-    in the ``zeta`` trie.  For each group, ``end`` is (tpow, li depth),
-    which puts the end of its table at p * tpow + depth * (p - 1) + 1;
-    ``groups_of[leaf]`` lists, for each leaf id of the ``li`` trie, its li
-    index's groups as (g, tpow) pairs.
+    in the ``zeta`` trie.
+
+    Each nonempty li index is its head (all parts but the last) and its last
+    part.  ``heads`` is the prefix trie of the heads; the empty head is the
+    root.  ``parts`` holds the distinct last parts, ascending.  For each
+    group, ``part_of`` is its last part's position in ``parts`` (-1 for the
+    empty li index), ``tpow`` its T-power and ``depth`` its li depth, which
+    put the end of its table at p * tpow + depth * (p - 1) + 1.
+    ``groups_of[leaf]`` lists, for each leaf id of ``heads``, the groups
+    with that head as (g, part position, tpow); ``bare`` lists the groups
+    of the empty li index as (g, tpow).
     """
 
     coefs: tuple[Rational, ...]
@@ -286,9 +326,13 @@ class _Plan:
     zeta: PrefixTrie
     zeta_of: np.ndarray
     starts: np.ndarray
-    li: PrefixTrie
-    end: np.ndarray
-    groups_of: tuple[tuple[tuple[int, int], ...], ...]
+    heads: PrefixTrie
+    parts: np.ndarray
+    part_of: np.ndarray
+    tpow: np.ndarray
+    depth: np.ndarray
+    groups_of: tuple[tuple[tuple[int, int, int], ...], ...]
+    bare: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=1024)
@@ -297,25 +341,36 @@ def _plan(expr: CorrectionExpression) -> _Plan:
     positions: dict[Rational, int] = {}
     coef_of = [positions.setdefault(t.coef, len(positions)) for t in terms]
     zeta = PrefixTrie(t.zeta_index for t in terms)
-    li = PrefixTrie(t.li_index for t in terms)
     zeta_leaf = {k: i for i, k in enumerate(zeta.indices)}
-    li_leaf = {k: i for i, k in enumerate(li.indices)}
-    keys = [(li_leaf[t.li_index], t.tpow) for t in terms]
+    keys = [(t.li_index.parts, t.tpow) for t in terms]
     order = sorted(range(len(terms)), key=keys.__getitem__)
     starts = [n for n, i in enumerate(order) if n == 0 or keys[i] != keys[order[n - 1]]]
-    groups = [keys[order[n]] for n in starts]
-    groups_of: list[list[tuple[int, int]]] = [[] for _ in li.indices]
-    for g, (leaf, tpow) in enumerate(groups):
-        groups_of[leaf].append((g, tpow))
+    groups = [terms[order[n]] for n in starts]
+    heads = PrefixTrie(t.li_index.head() for t in groups if t.li_index)
+    head_leaf = {k: i for i, k in enumerate(heads.indices)}
+    parts = sorted({t.li_index[-1] for t in groups if t.li_index})
+    part_pos = {b: i for i, b in enumerate(parts)}
+    part_of = [part_pos[t.li_index[-1]] if t.li_index else -1 for t in groups]
+    groups_of: list[list[tuple[int, int, int]]] = [[] for _ in heads.indices]
+    bare = []
+    for g, t in enumerate(groups):
+        if t.li_index:
+            groups_of[head_leaf[t.li_index.head()]].append((g, part_of[g], t.tpow))
+        else:
+            bare.append((g, t.tpow))
     return _Plan(
         coefs=tuple(positions),
         coef_of=np.array([coef_of[i] for i in order], dtype=np.intp),
         zeta=zeta,
         zeta_of=np.array([zeta_leaf[terms[i].zeta_index] for i in order], dtype=np.intp),
         starts=np.array(starts, dtype=np.intp),
-        li=li,
-        end=np.array([(tpow, li.indices[leaf].depth) for leaf, tpow in groups], dtype=np.int64).reshape(-1, 2),
+        heads=heads,
+        parts=np.array(parts, dtype=np.int64),
+        part_of=np.array(part_of, dtype=np.intp),
+        tpow=np.array([t.tpow for t in groups], dtype=np.int64),
+        depth=np.array([t.li_index.depth for t in groups], dtype=np.int64),
         groups_of=tuple(map(tuple, groups_of)),
+        bare=tuple(bare),
     )
 
 
@@ -327,11 +382,22 @@ def eval_expression(expr: CorrectionExpression, p: int) -> ModPoly:
     whose denominator p divides, even if that term's zeta value is 0.  The
     zeta values come from one walk of the plan's zeta trie.  Each term
     c * zeta is reduced below p, and np.add.reduceat sums each group's
-    terms into its scalar: a sum of at most n_terms values < p, exact while
-    n_terms * p < 2^63.  One walk of the whole li trie gives every li
-    table; each is added times its group scalars into one accumulator (see
-    _accumulate), whose sums stay < p^2 < 2^62, and a group whose scalar is
-    0 is skipped there, as it is in the accumulator's length.
+    terms into its scalar s_g: a sum of at most n_terms values < p, exact
+    while n_terms * p < 2^63.  A group whose scalar is 0 is skipped.
+
+    The li side is folded through one window step W_b per last part b, by
+    the identity in the module docstring, which is exact because W_b is
+    linear and commutes with T^p (inv(n) depends only on n mod p).  One
+    walk of the head trie gives every head table, which
+    _fold adds times its group scalars into b's row at offset p t_g.  Each
+    add is below p^2; a row is reduced before its adds could reach 2^63,
+    and all rows are reduced below p, as the window step needs.  The rows
+    are advanced by _window_step in blocks of at most WALK_BLOCK_BYTES of
+    output, so memory at large p is the part rows plus one block; each
+    block's stepped rows are summed into the result, which is then reduced.
+    Length rule: b's row is as wide as max(p t_g + dep(head)(p - 1)
+    + 1) over its live groups, so its step ends at p t_g + dep(k_g)(p - 1)
+    + 1, where that group's own table would end.
     """
     ensure_prime(p)
     if not expr:
@@ -343,17 +409,37 @@ def eval_expression(expr: CorrectionExpression, p: int) -> ModPoly:
     live = scalars != 0
     if not live.any():
         return ModPoly.zero(p)
-    length = int((plan.end[live] @ (p, p - 1)).max()) + 1
+    ends = plan.tpow * p + plan.depth * (p - 1) + 1
+    out = np.zeros(int(ends[live].max()), dtype=np.int64)
     s = scalars.tolist()
+    for g, tpow in plan.bare:
+        if s[g]:
+            out[p * tpow] = s[g]
+    folded = live & (plan.part_of >= 0)
+    if folded.any():
+        widths = np.zeros(len(plan.parts), dtype=np.int64)
+        np.maximum.at(widths, plan.part_of[folded], ends[folded] - (p - 1))
+        active = widths > 0
+        row_of = (np.cumsum(active) - 1).tolist()  # a live group's part -> its row
+        parts, widths = plan.parts[active], widths[active]
+        rows = np.zeros((len(parts), int(widths.max())), dtype=np.int64)
 
-    def terms():
-        for leaves, tables in walk(plan.li, p):
-            for leaf, table in zip(leaves.tolist(), tables):
-                for g, tpow in plan.groups_of[leaf]:
-                    if s[g]:
-                        yield s[g], p * tpow, table
+        def adds():
+            for leaves, tables in walk(plan.heads, p):
+                for leaf, table in zip(leaves.tolist(), tables):
+                    for g, part, tpow in plan.groups_of[leaf]:
+                        if s[g]:
+                            yield row_of[part], s[g], p * tpow, table
 
-    return _accumulate(length, terms(), p)
+        _fold(rows, adds(), p)
+        block = max(1, WALK_BLOCK_BYTES // (8 * (rows.shape[1] + p - 1)))
+        for c in range(0, len(rows), block):
+            width = int(widths[c : c + block].max())
+            stepped = _window_step(rows[c : c + block, :width], p, parts[c : c + block], width + p - 1)
+            seg = out[: width + p - 1]
+            seg += stepped.sum(axis=0)
+            reduce_mod(seg, p)
+    return ModPoly._from_reduced(p, out)
 
 
 def eval_formal_sum_zeta(fs: FormalSum, p: int) -> int:

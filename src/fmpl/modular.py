@@ -8,10 +8,19 @@ p < MAX_PRIME and every length: short products run ``np.convolve``, long
 ones a floating-point FFT whose rounding error is bounded below 1/2.  Each
 product splits its coefficients into the fewest limbs (at most three) for
 which that bound holds at its own p and lengths (`mul_limbs`); one limb is
-the whole coefficient, as for li_(2,1) * li_3 up to p = 21841.  The table
+the whole coefficient, as for li_(2,1) * li_3 up to p = 21841.  A factor
+longer than FFT_MAX_LEN, against one of at least FFT_MIN_LEN, is cut into
+blocks whose FFT products are added at their offsets.  The table
 of inverses mod p has no Python loop over p: it is one scatter over the
 powers of a primitive root, which a two-level table builds in about
 2 sqrt(p) Python steps.
+
+`ModPoly(p, coeffs)` is the input boundary: it checks p, and copies and
+reduces coeffs.  Tables that a kernel has already reduced into [0, p) become
+polynomials through `ModPoly._from_reduced`, without a copy or a second
+reduction: the products of `ModPoly.__mul__`, evaluate's eval_fmp and
+eval_fmp_triple, and identities' eval_expression.  `ModPoly.text_chunks`
+gives str() of a polynomial in pieces, which the CLI writes one by one.
 
 Array reductions go through `reduce_mod(x, p)`, which computes
 x - (x // p) * p in place.  numpy divides an int64 array by a scalar with
@@ -38,7 +47,7 @@ from collections import OrderedDict, namedtuple
 from functools import lru_cache, wraps
 from itertools import compress
 from math import isqrt
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -318,7 +327,10 @@ def ensure_prime(p: int) -> None:
 # in 1.30 vs 1.17 ms and 512 x 512 in 0.27 vs 0.24 ms.
 FFT_MIN_LEN = 256
 # Longest factor the FFT path may take; derived in mul_mod's docstring.
+# Longer factors are cut into blocks of at most this length (_mul_blocks).
 FFT_MAX_LEN = (1 << 29) // (13 * 22 + 3)
+# Terms per piece of ModPoly.text_chunks.
+TEXT_CHUNK_TERMS = 1 << 16
 
 
 @lru_cache(maxsize=1024)
@@ -338,10 +350,12 @@ def _limb_pairs(p: int, limbs: int) -> int:
 
 
 def mul_limbs(p: int, la: int, lb: int) -> tuple[int, bool]:
-    """How mul_mod multiplies factors of lengths la and lb: (limbs, by FFT).
+    """How mul_mod multiplies factors of lengths la and lb unblocked: (limbs, by FFT).
 
     The limbs are the fewest of 1, 2 or 3 for which the product is exact;
-    the bounds are derived in mul_mod's docstring.
+    the bounds are derived in mul_mod's docstring.  mul_mod cuts a product
+    with both lengths >= FFT_MIN_LEN and one past FFT_MAX_LEN into blocks
+    first, and asks this for each block.
     """
     fft = min(la, lb) >= FFT_MIN_LEN and max(la, lb) <= FFT_MAX_LEN
     if fft:
@@ -359,8 +373,10 @@ def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     the 2L - 1 limb-pair sums c_s = sum_{i + j = s} a_i * b_j are formed
     exactly, and the result is sum_s (c_s mod p) * (2^(w s) mod p) mod p.
     With L = 1 the limb is the whole coefficient and c_0 is the product.
-    Products with a factor shorter than FFT_MIN_LEN, or one longer than
-    FFT_MAX_LEN, form each c_s with np.convolve; the others with np.fft:
+    Products with a factor shorter than FFT_MIN_LEN form each c_s with
+    np.convolve; where both factors reach FFT_MIN_LEN and one is longer than
+    FFT_MAX_LEN, the longer is cut into blocks (_mul_blocks); the others
+    form each c_s with np.fft:
     rfft of every limb, padded to n = 2^k, the pair products summed per s,
     one irfft per s, rounded.  So one limb costs 3 FFTs and two limbs 7.
     mul_limbs picks the fewest L, at most 3, that keeps c_s exact, by the
@@ -395,6 +411,8 @@ def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     p = 2^31 - 1 and 0.010 at p = 2^22 - 3.
     """
     la, lb = len(a), len(b)
+    if min(la, lb) >= FFT_MIN_LEN and max(la, lb) > FFT_MAX_LEN:
+        return _mul_blocks(a, b, p) if la >= lb else _mul_blocks(b, a, p)
     limbs, fft = mul_limbs(p, la, lb)
     width = -(-(p - 1).bit_length() // limbs)
     mask = (1 << width) - 1
@@ -421,13 +439,37 @@ def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _mul_blocks(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """mul_mod for len(a) >= len(b) >= FFT_MIN_LEN with len(a) > FFT_MAX_LEN.
+
+    a is cut into blocks of min(len(b), FFT_MAX_LEN) coefficients, each block
+    is multiplied by b through mul_mod (which cuts b in turn where b passes
+    FFT_MAX_LEN), and the products are added at their offsets, reduced after
+    each add: entries < p plus a product's entries < p stay below 2p.  So a
+    product past FFT_MAX_LEN stays O(n log n), where one np.convolve would
+    take len(a) * len(b) multiply-adds.
+    """
+    step = min(len(b), FFT_MAX_LEN)
+    out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
+    for start in range(0, len(a), step):
+        block = a[start : start + step]
+        seg = out[start : start + len(block) + len(b) - 1]
+        seg += mul_mod(block, b, p)
+        reduce_mod(seg, p)
+    return out
+
+
 class ModPoly:
     """Dense polynomial over F_p; ``coeffs[e]`` is the coefficient of T^e."""
 
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs: Union[Iterable[int], np.ndarray] = ()):
-        """Reduce a copy of coeffs (|c| < 2^62) mod p and trim its trailing zeros."""
+        """Reduce a copy of coeffs (|c| < 2^62) mod p and trim its trailing zeros.
+
+        This is the input boundary: it checks p and trusts nothing of coeffs.
+        Tables that a kernel has already reduced go through _from_reduced.
+        """
         ensure_prime(p)
         arr = reduce_mod(np.array(coeffs, dtype=np.int64), p)
         nz = np.flatnonzero(arr)
@@ -437,6 +479,25 @@ class ModPoly:
         arr.flags.writeable = False
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", arr)
+
+    @classmethod
+    def _from_reduced(cls, p: int, arr: np.ndarray) -> "ModPoly":
+        """The polynomial of arr, an int64 array already in [0, p), for a p already checked.
+
+        The producers of finished tables use this: eval_fmp, eval_fmp_triple,
+        __mul__ and eval_expression.  arr is made read-only and kept, not
+        copied, so the caller hands it over.  Trailing zeros are trimmed only
+        when the last entry is 0, and then the kept part is copied, so that
+        no long base array stays alive.
+        """
+        if len(arr) and arr[-1] == 0:
+            nz = np.flatnonzero(arr)
+            arr = arr[: nz[-1] + 1 if len(nz) else 0].copy()
+        arr.flags.writeable = False
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "p", p)
+        object.__setattr__(poly, "coeffs", arr)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("ModPoly is immutable")
@@ -489,7 +550,7 @@ class ModPoly:
         self._require_same_modulus(other)
         if not self or not other:
             return ModPoly.zero(self.p)
-        return ModPoly(self.p, mul_mod(self.coeffs, other.coeffs, self.p))
+        return ModPoly._from_reduced(self.p, mul_mod(self.coeffs, other.coeffs, self.p))
 
     def evaluate(self, t: int) -> int:
         """The value at t in F_p, equal to Horner's rule.
@@ -505,20 +566,32 @@ class ModPoly:
         terms = reduce_mod(self.coeffs * _power_table(t % p, n, p), p)
         return sum(int(terms[i : i + (1 << 32)].sum()) for i in range(0, n, 1 << 32)) % p
 
-    def __str__(self) -> str:
+    def text_chunks(self, terms: int = TEXT_CHUNK_TERMS) -> Iterator[str]:
+        """str(self) in pieces of at most `terms` terms each, which join to str(self).
+
+        A writer that writes the pieces one by one holds one piece's strings
+        at a time, not one string per term of the whole polynomial.
+        """
         if not self:
-            return "0"
-        parts = []
-        for e, c in enumerate(self.coeffs.tolist()):
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append("T" if c == 1 else f"{c}*T")
-            else:
-                parts.append(f"T^{e}" if c == 1 else f"{c}*T^{e}")
-        return " + ".join(parts)
+            yield "0"
+            return
+        sep = ""
+        nonzero = np.flatnonzero(self.coeffs)
+        for lo in range(0, len(nonzero), terms):
+            exps = nonzero[lo : lo + terms]
+            parts = []
+            for e, c in zip(exps.tolist(), self.coeffs[exps].tolist()):
+                if e == 0:
+                    parts.append(str(c))
+                elif e == 1:
+                    parts.append("T" if c == 1 else f"{c}*T")
+                else:
+                    parts.append(f"T^{e}" if c == 1 else f"{c}*T^{e}")
+            yield sep + " + ".join(parts)
+            sep = " + "
+
+    def __str__(self) -> str:
+        return "".join(self.text_chunks())
 
     def __repr__(self) -> str:
         return f"ModPoly(p={self.p}, {self})"

@@ -185,9 +185,19 @@ def variant_expansion(i: int, k: Index) -> FormalSum:
 
 
 def count_x_tuples(r: int, p: int) -> int:
-    """|X_r| by the classification: sum over s of |Phi_{r,s}| * C(p-1, s)."""
-    by_s = Counter(phi.s for phi in enumerate_phi(r))
-    return sum(n * comb(p - 1, s) for s, n in by_s.items())
+    """|X_r| by the classification: sum over s of |Phi_{r,s}| * C(p-1, s).
+
+    |Phi_{r,s}| = sum_j (-1)^j C(s, j) (s - j) (s - j - 1)^(r - 1), by
+    inclusion-exclusion over the j values a map into [s] misses: there are
+    m (m - 1)^(r - 1) maps [r] -> [m] without equal adjacent values.  No
+    map is built, so this count does not rest on enumerate_phi, which
+    bijection_roundtrip checks against it.
+    """
+    return sum(
+        (-1) ** j * comb(s, j) * (s - j) * (s - j - 1) ** (r - 1) * comb(p - 1, s)
+        for s in range(1, r + 1)
+        for j in range(s + 1)
+    )
 
 
 def bijection_roundtrip(r: int, p: int) -> tuple[bool, str]:

@@ -26,6 +26,18 @@ def test_eval_fmp(capsys):
     assert code == 0 and out.strip() == "T + 2*T^2"
 
 
+def test_eval_fmp_writes_the_polynomial_in_pieces(capsys):
+    # li_(2,1) at p = 40009 has about 80,000 terms, so it is written in two pieces
+    from fmpl.evaluate import eval_fmp, eval_fmp_triple
+
+    value = eval_fmp(Index((2, 1)), 40009)
+    assert len(list(value.text_chunks())) == 2
+    code, out, _ = run_cli(capsys, "eval", "fmp", "-k", "2,1", "-p", "40009")
+    assert code == 0 and out == str(value) + "\n"
+    code, out, _ = run_cli(capsys, "eval", "fmp3", "-L", "2", "-M", "1", "-N", "1", "-p", "101")
+    assert code == 0 and out == str(eval_fmp_triple(Index((2,)), Index((1,)), Index((1,)), 101)) + "\n"
+
+
 def test_eval_fmp_empty_index(capsys):
     code, out, _ = run_cli(capsys, "eval", "fmp", "-k", "-", "-p", "7")
     assert code == 0 and out.strip() == "1"

@@ -176,6 +176,12 @@ def test_single_index_tables_are_counted_once_in_the_memo(monkeypatch):
     assert inverse == 3 * 8 * p
     assert modular._TABLES.nbytes[p] == inverse + f.coeffs.nbytes
     assert f.coeffs.nbytes == 8 * (k.depth * (p - 1) + 1)
+    # a depth-1 polynomial copies its table, which is a cached inverse power
+    g = eval_fmp(I(3), p)
+    assert not np.shares_memory(g.coeffs, evaluate._inv_powers(3, p))
+    arrays = [v.coeffs if isinstance(v, ModPoly) else v for v in tables.values()]
+    assert len({id(v) for v in arrays}) == len(arrays)
+    assert modular._TABLES.nbytes[p] == inverse + f.coeffs.nbytes + g.coeffs.nbytes
 
 
 def test_eval_zeta_tables_stay_at_length_p(monkeypatch):

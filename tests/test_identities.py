@@ -16,6 +16,7 @@ from fmpl.identities import (
     ExceptionalPrimeError,
     _accumulate,
     _coef_mod,
+    _fold,
     eval_expression,
     expand_triple,
     pfd_check,
@@ -358,16 +359,36 @@ def test_accumulator_bound_at_largest_prime():
     assert out.coeffs.tolist() == expected
 
 
+def test_fold_bound_at_largest_prime():
+    # at p = 2^31 - 1 a row takes two all-(p - 1) adds between reductions;
+    # 1000 adds at one offset would pass 2^63 unreduced
+    p = 2**31 - 1
+    table = np.full(40, p - 1, dtype=np.int64)
+    adds = [(0, p - 1, 0, table)] * 1000 + [(1, p - 1, 10, table)] * 3 + [(0, p - 1, 30, table[:20])] * 7
+    rows = _fold(np.zeros((2, 50), dtype=np.int64), adds, p)
+    expected = [[0] * 50 for _ in range(2)]
+    for r, scalar, offset, t in adds:
+        for e, c in enumerate(t.tolist()):
+            expected[r][offset + e] = (expected[r][offset + e] + scalar * c) % p
+    assert rows.tolist() == expected
+
+
 def test_eval_expression_builds_one_polynomial(monkeypatch):
     expr = shuffle_correction(I(2, 1, 2, 1), I(3, 1, 2))
     built = []
     init = ModPoly.__init__
+    from_reduced = ModPoly._from_reduced
 
     def counting_init(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
+    def counting_from_reduced(*args):
+        built.append(args)
+        return from_reduced(*args)
+
     monkeypatch.setattr(ModPoly, "__init__", counting_init)
+    monkeypatch.setattr(ModPoly, "_from_reduced", staticmethod(counting_from_reduced))
     value = eval_expression(expr, 199)
     assert value
     assert len(built) <= 2

@@ -338,21 +338,82 @@ def test_mul_mod_matches_python_ints(p):
         assert mul_mod(a, b, p).tolist() == _int_product(a, b, p), (la, lb)
 
 
+def _term_by_term_text(poly):
+    """The polynomial's text, one term at a time, as "c*T^e" joined by " + "."""
+    parts = []
+    for e, c in enumerate(poly.coeffs.tolist()):
+        if c:
+            power = "" if e == 0 else "T" if e == 1 else f"T^{e}"
+            parts.append(str(c) if e == 0 else power if c == 1 else f"{c}*{power}")
+    return " + ".join(parts) or "0"
+
+
+def test_text_chunks_join_to_str():
+    cases = [ModPoly.zero(7), ModPoly(7, [0, 1]), ModPoly(7, [5]), eval_fmp(Index((2, 1, 3)), 1009)]
+    assert [str(poly) for poly in cases[:3]] == ["0", "T", "5"]
+    for poly in cases:
+        text = str(poly)
+        assert text == _term_by_term_text(poly)
+        for terms in (1, 2, 7, 1000, 1 << 16):
+            chunks = list(poly.text_chunks(terms))
+            assert "".join(chunks) == text, terms
+            assert len(chunks) == max(1, -(-int(np.count_nonzero(poly.coeffs)) // terms))
+
+
+def test_from_reduced_matches_the_validating_constructor():
+    p = 101
+    for values in ([], [0], [0, 0, 0], [3, 0, 5, 0, 0], [1, 2, 100], [0, 0, 7]):
+        arr = np.array(values, dtype=np.int64)
+        poly = ModPoly._from_reduced(p, arr.copy())
+        ref = ModPoly(p, arr)
+        assert poly == ref, values
+        assert poly.coeffs.tolist() == ref.coeffs.tolist() and poly.degree == ref.degree
+        assert not poly.coeffs.flags.writeable
+    # a nonzero last entry keeps the array itself; trimmed zeros leave a copy
+    arr = np.array([1, 2, 3], dtype=np.int64)
+    assert ModPoly._from_reduced(p, arr).coeffs is arr
+    base = np.array([4, 0, 0, 0], dtype=np.int64)
+    assert ModPoly._from_reduced(p, base).coeffs.base is None
+
+
 def test_mul_mod_limb_split_direct_beyond_fft_limit(monkeypatch):
-    # a shorter limit sends these products down the limb-split np.convolve path
+    # past a shorter limit, with the shorter factor below FFT_MIN_LEN, these
+    # products go down the limb-split np.convolve path, uncut
     monkeypatch.setattr(modular, "FFT_MAX_LEN", 600)
 
     def no_fft(*args, **kwargs):
-        raise AssertionError("FFT path taken beyond FFT_MAX_LEN")
+        raise AssertionError("FFT path taken with a factor below FFT_MIN_LEN")
 
     monkeypatch.setattr(np.fft, "rfft", no_fft)
     rng = np.random.default_rng(7)
     for p in (2**31 - 1, 2**22 - 3):
         a = np.full(700, p - 1, dtype=np.int64)
-        b = np.full(300, p - 1, dtype=np.int64)
-        assert mul_mod(a, b, p).tolist() == _all_max_product(700, 300, p)
+        b = np.full(200, p - 1, dtype=np.int64)
+        assert mul_mod(a, b, p).tolist() == _all_max_product(700, 200, p)
         a = rng.integers(0, p, 1000)
-        b = rng.integers(0, p, 400)
+        b = rng.integers(0, p, 250)
+        assert mul_mod(a, b, p).tolist() == _int_product(a, b, p)
+
+
+def test_mul_mod_cuts_factors_past_fft_max_len_into_blocks(monkeypatch):
+    # past a shorter limit, with both factors at least FFT_MIN_LEN, the longer
+    # factor is cut into blocks and no np.convolve sees two long factors
+    monkeypatch.setattr(modular, "FFT_MAX_LEN", 600)
+    convolve = np.convolve
+
+    def short_convolve(x, y, *args, **kwargs):
+        assert min(len(x), len(y)) < FFT_MIN_LEN, (len(x), len(y))
+        return convolve(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", short_convolve)
+    rng = np.random.default_rng(11)
+    for p in (2**31 - 1, 2**22 - 3):
+        for la, lb in [(1500, 300), (300, 1500), (2000, 700), (1300, 1300), (601, 256)]:
+            a = np.full(la, p - 1, dtype=np.int64)
+            b = np.full(lb, p - 1, dtype=np.int64)
+            assert mul_mod(a, b, p).tolist() == _all_max_product(la, lb, p), (la, lb)
+        a = rng.integers(0, p, 1700)
+        b = rng.integers(0, p, 650)
         assert mul_mod(a, b, p).tolist() == _int_product(a, b, p)
 
 

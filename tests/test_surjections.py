@@ -139,6 +139,14 @@ def test_count_x_tuples_direct():
     assert count_x_tuples(2, 5) == 12
 
 
+def test_count_x_tuples_matches_the_enumerated_maps():
+    # the inclusion-exclusion count against the maps that enumerate_phi builds
+    for r in range(1, MAX_R + 1):
+        by_s = Counter(phi.s for phi in enumerate_phi(r))
+        for p in (5, 7, 101):
+            assert count_x_tuples(r, p) == sum(n * comb(p - 1, s) for s, n in by_s.items()), (r, p)
+
+
 def collapse(phi, k):
     """k summed along phi: part t is the sum of the parts k_j with phi(j) = t."""
     parts = [0] * phi.s
