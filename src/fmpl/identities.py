@@ -37,10 +37,9 @@ linear and commutes with T^p, since inv(n) depends only on n mod p, so
 
 exactly.  Each head table is added times its group scalars into its
 part's row, and each row takes one window step; eval_expression gives the
-int64 bound and the length rule.  _accumulate sums scalar * T^offset *
-table terms into one int64 accumulator reduced after each add, so its
-entries stay below p and no sum reaches p^2 < 2^62; verify_eq7's right
-side is summed there.
+length rule.  _fold is the one int64 accumulator of scalar * T^offset *
+table terms, and states its bound; verify_eq7's right side is summed in
+one row of it (_accumulate).
 
 The verify_* functions compare two independently computed F_p (or
 F_p[T]) values and report the first difference.
@@ -259,44 +258,34 @@ def _coef_mod(coef: Rational, p: int) -> int:
     return coef.numerator * mod_inverse(coef.denominator, p) % p
 
 
-def _accumulate(length: int, terms: Iterable[tuple[int, int, np.ndarray]], p: int) -> ModPoly:
-    """The sum of scalar * T^offset * table over (scalar, offset, table) in F_p[T].
-
-    Every table lies in [0, p) and every scalar in [0, p), and each
-    offset + len(table) is at most length.  int64 bound: the accumulator is
-    reduced after each add, so its entries stay below p; a product is at
-    most (p - 1)^2, and p - 1 + (p - 1)^2 < p^2 < 2^62 for p < MAX_PRIME.
-    """
-    acc = np.zeros(length, dtype=np.int64)
-    for scalar, offset, table in terms:
-        seg = acc[offset : offset + len(table)]
-        seg += table * scalar
-        reduce_mod(seg, p)
-    return ModPoly(p, acc)
-
-
 def _fold(rows: np.ndarray, adds: Iterable[tuple[int, int, int, np.ndarray]], p: int) -> np.ndarray:
     """Add scalar * T^offset * table into row r of rows for each (r, scalar, offset, table).
 
     rows start in [0, p); every scalar and table entry lies in [0, p), and
     each offset + len(table) is at most the width of rows.  Returns rows,
     reduced into [0, p) in place.  int64 bound: each add puts at most
-    (p - 1)^2 < p^2 into an entry, so a row whose entries are < p can take
-    budget = (2^63 - p) // (p - 1)^2 adds before an entry could reach 2^63
-    (2 at p = 2^31 - 1, about 3.7e11 at p = 5000).  A row is reduced when it
-    has taken that many, and every row is reduced at the end, since the
-    window step that follows needs entries in [0, p).
+    (p - 1)^2 < p^2 into an entry, so an entry below p can take
+    budget = (2^63 - p) // (p - 1)^2 adds before it could reach 2^63 (2 at
+    p = 2^31 - 1, about 3.7e11 at p = 5000).  All rows are reduced after
+    every budget adds, so no row takes more between reductions, and again
+    at the end, since the window step that follows needs entries in [0, p).
     """
     budget = ((1 << 63) - p) // max(1, (p - 1) ** 2)
-    pending = [0] * len(rows)
-    for r, scalar, offset, table in adds:
-        if pending[r] == budget:
-            reduce_mod(rows[r], p)
-            pending[r] = 0
+    for n, (r, scalar, offset, table) in enumerate(adds, 1):
         seg = rows[r, offset : offset + len(table)]
         seg += table * scalar
-        pending[r] += 1
+        if n % budget == 0:
+            reduce_mod(rows, p)
     return reduce_mod(rows, p)
+
+
+def _accumulate(length: int, terms: Iterable[tuple[int, int, np.ndarray]], p: int) -> ModPoly:
+    """The sum of scalar * T^offset * table over (scalar, offset, table) in F_p[T].
+
+    One row of _fold, under its conditions and int64 bound.
+    """
+    rows = _fold(np.zeros((1, length), dtype=np.int64), ((0, c, o, t) for c, o, t in terms), p)
+    return ModPoly(p, rows[0])
 
 
 @dataclass(frozen=True)
@@ -317,8 +306,7 @@ class _Plan:
     empty li index), ``tpow`` its T-power and ``depth`` its li depth, which
     put the end of its table at p * tpow + depth * (p - 1) + 1.
     ``groups_of[leaf]`` lists, for each leaf id of ``heads``, the groups
-    with that head as (g, part position, tpow); ``bare`` lists the groups
-    of the empty li index as (g, tpow).
+    with that head; ``bare`` lists the groups of the empty li index.
     """
 
     coefs: tuple[Rational, ...]
@@ -331,8 +319,8 @@ class _Plan:
     part_of: np.ndarray
     tpow: np.ndarray
     depth: np.ndarray
-    groups_of: tuple[tuple[tuple[int, int, int], ...], ...]
-    bare: tuple[tuple[int, int], ...]
+    groups_of: tuple[tuple[int, ...], ...]
+    bare: tuple[int, ...]
 
 
 @lru_cache(maxsize=1024)
@@ -351,13 +339,13 @@ def _plan(expr: CorrectionExpression) -> _Plan:
     parts = sorted({t.li_index[-1] for t in groups if t.li_index})
     part_pos = {b: i for i, b in enumerate(parts)}
     part_of = [part_pos[t.li_index[-1]] if t.li_index else -1 for t in groups]
-    groups_of: list[list[tuple[int, int, int]]] = [[] for _ in heads.indices]
+    groups_of: list[list[int]] = [[] for _ in heads.indices]
     bare = []
     for g, t in enumerate(groups):
         if t.li_index:
-            groups_of[head_leaf[t.li_index.head()]].append((g, part_of[g], t.tpow))
+            groups_of[head_leaf[t.li_index.head()]].append(g)
         else:
-            bare.append((g, t.tpow))
+            bare.append(g)
     return _Plan(
         coefs=tuple(positions),
         coef_of=np.array([coef_of[i] for i in order], dtype=np.intp),
@@ -411,25 +399,25 @@ def eval_expression(expr: CorrectionExpression, p: int) -> ModPoly:
         return ModPoly.zero(p)
     ends = plan.tpow * p + plan.depth * (p - 1) + 1
     out = np.zeros(int(ends[live].max()), dtype=np.int64)
-    s = scalars.tolist()
-    for g, tpow in plan.bare:
+    s, tpow = scalars.tolist(), plan.tpow.tolist()
+    for g in plan.bare:
         if s[g]:
-            out[p * tpow] = s[g]
+            out[p * tpow[g]] = s[g]
     folded = live & (plan.part_of >= 0)
     if folded.any():
         widths = np.zeros(len(plan.parts), dtype=np.int64)
         np.maximum.at(widths, plan.part_of[folded], ends[folded] - (p - 1))
         active = widths > 0
-        row_of = (np.cumsum(active) - 1).tolist()  # a live group's part -> its row
+        row_of = (np.cumsum(active) - 1)[plan.part_of].tolist()  # a live group's row
         parts, widths = plan.parts[active], widths[active]
         rows = np.zeros((len(parts), int(widths.max())), dtype=np.int64)
 
         def adds():
             for leaves, tables in walk(plan.heads, p):
                 for leaf, table in zip(leaves.tolist(), tables):
-                    for g, part, tpow in plan.groups_of[leaf]:
+                    for g in plan.groups_of[leaf]:
                         if s[g]:
-                            yield row_of[part], s[g], p * tpow, table
+                            yield row_of[g], s[g], p * tpow[g], table
 
         _fold(rows, adds(), p)
         block = max(1, WALK_BLOCK_BYTES // (8 * (rows.shape[1] + p - 1)))

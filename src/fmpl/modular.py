@@ -566,8 +566,8 @@ class ModPoly:
         terms = reduce_mod(self.coeffs * _power_table(t % p, n, p), p)
         return sum(int(terms[i : i + (1 << 32)].sum()) for i in range(0, n, 1 << 32)) % p
 
-    def text_chunks(self, terms: int = TEXT_CHUNK_TERMS) -> Iterator[str]:
-        """str(self) in pieces of at most `terms` terms each, which join to str(self).
+    def text_chunks(self) -> Iterator[str]:
+        """str(self) in pieces of at most TEXT_CHUNK_TERMS terms each, which join to str(self).
 
         A writer that writes the pieces one by one holds one piece's strings
         at a time, not one string per term of the whole polynomial.
@@ -576,7 +576,7 @@ class ModPoly:
             yield "0"
             return
         sep = ""
-        nonzero = np.flatnonzero(self.coeffs)
+        nonzero, terms = np.flatnonzero(self.coeffs), TEXT_CHUNK_TERMS
         for lo in range(0, len(nonzero), terms):
             exps = nonzero[lo : lo + terms]
             parts = []

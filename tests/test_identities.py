@@ -346,25 +346,21 @@ def test_eval_expression_matches_per_term_on_random_expressions(raw, p):
 
 
 def test_accumulator_bound_at_largest_prime():
-    # 1000 all-(p - 1) products at one offset would pass 2^63 unreduced
+    # at p = 2^31 - 1 a row takes two all-(p - 1) adds between reductions;
+    # 1000 products at one offset would pass 2^63 unreduced
     p = 2**31 - 1
-    terms = [(p - 1, 0, np.full(40, p - 1, dtype=np.int64))] * 1000
-    terms += [(p - 1, 30, np.full(20, p - 1, dtype=np.int64))] * 7
+    table = np.full(40, p - 1, dtype=np.int64)
+    terms = [(p - 1, 0, table)] * 1000 + [(p - 1, 30, table[:20])] * 7
     out = _accumulate(50, terms, p)
     expected = [0] * 50
-    for scalar, offset, table in terms:
-        for e, c in enumerate(table.tolist()):
+    for scalar, offset, t in terms:
+        for e, c in enumerate(t.tolist()):
             expected[offset + e] = (expected[offset + e] + scalar * c) % p
     assert out == ModPoly(p, expected)
     assert out.coeffs.tolist() == expected
-
-
-def test_fold_bound_at_largest_prime():
-    # at p = 2^31 - 1 a row takes two all-(p - 1) adds between reductions;
-    # 1000 adds at one offset would pass 2^63 unreduced
-    p = 2**31 - 1
-    table = np.full(40, p - 1, dtype=np.int64)
-    adds = [(0, p - 1, 0, table)] * 1000 + [(1, p - 1, 10, table)] * 3 + [(0, p - 1, 30, table[:20])] * 7
+    # _fold, the accumulator behind it, on two rows; 1011 adds, so the last
+    # one is reduced only by the final reduction
+    adds = [(0, p - 1, 0, table)] * 1000 + [(1, p - 1, 10, table)] * 4 + [(0, p - 1, 30, table[:20])] * 7
     rows = _fold(np.zeros((2, 50), dtype=np.int64), adds, p)
     expected = [[0] * 50 for _ in range(2)]
     for r, scalar, offset, t in adds:

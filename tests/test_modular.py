@@ -348,14 +348,15 @@ def _term_by_term_text(poly):
     return " + ".join(parts) or "0"
 
 
-def test_text_chunks_join_to_str():
+def test_text_chunks_join_to_str(monkeypatch):
     cases = [ModPoly.zero(7), ModPoly(7, [0, 1]), ModPoly(7, [5]), eval_fmp(Index((2, 1, 3)), 1009)]
     assert [str(poly) for poly in cases[:3]] == ["0", "T", "5"]
     for poly in cases:
         text = str(poly)
         assert text == _term_by_term_text(poly)
         for terms in (1, 2, 7, 1000, 1 << 16):
-            chunks = list(poly.text_chunks(terms))
+            monkeypatch.setattr(modular, "TEXT_CHUNK_TERMS", terms)
+            chunks = list(poly.text_chunks())
             assert "".join(chunks) == text, terms
             assert len(chunks) == max(1, -(-int(np.count_nonzero(poly.coeffs)) // terms))
 
