@@ -5,12 +5,16 @@ index is the literal "-".  Each verify check is one entry of
 fmpl.sweep.CHECKS, which declares its flags and validates them.  Verify
 commands run over an inclusive prime range "a..b" (default 5..199,
 b < 2^31) and can write machine-readable JSON or CSV reports.  Exit
-status: 0 all primes pass (skips allowed), 1 any failure, 2 usage error.
+status: 0 all primes pass (skips allowed), 1 any failure, 2 usage error
+(an --out path that cannot be written is one, found before any prime
+runs), 130 interrupted (the partial report is still written), 141 stdout
+closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import Optional, Sequence
@@ -118,14 +122,6 @@ def _resolve_jobs(args: argparse.Namespace) -> int:
     return os.cpu_count() or 1
 
 
-def _write_report(report: SweepReport, path: Optional[str], fmt: str) -> None:
-    if path is None:
-        return
-    text = report.to_json() if fmt == "json" else report.to_csv()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _print_report(report: SweepReport) -> None:
     for res in report.results:
         if res.status == "pass" and res.detail:
@@ -188,26 +184,39 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error(str(exc))
     lo, hi = args.primes
     jobs = _resolve_jobs(args)
+    # opened before any prime runs, so that a path that cannot be written is a usage error
     try:
-        report = run_sweep(args.check, params, lo, hi, jobs=jobs)
-    except SweepInterrupted as exc:
-        print("fmpl: interrupted, writing partial report", file=sys.stderr)
-        _write_report(exc.report, args.out, args.format)
-        _print_report(exc.report)
-        return 130
-    _write_report(report, args.out, args.format)
+        out = open(args.out, "w", encoding="utf-8") if args.out is not None else contextlib.nullcontext()
+    except OSError as exc:
+        parser.error(f"cannot write the report to {args.out}: {exc.strerror}")
+    with out as fh:
+        try:
+            report = run_sweep(args.check, params, lo, hi, jobs=jobs)
+            code = report.exit_code
+        except SweepInterrupted as exc:
+            print("fmpl: interrupted, writing partial report", file=sys.stderr)
+            report, code = exc.report, 130
+        if fh is not None:
+            fh.write(report.to_json() if args.format == "json" else report.to_csv())
     _print_report(report)
-    return report.exit_code
+    return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "eval":
-        return _cmd_eval(args, parser)
-    if args.command == "product":
-        return _cmd_product(args, parser)
-    return _cmd_verify(args, parser)
+    commands = {"eval": _cmd_eval, "product": _cmd_product, "verify": _cmd_verify}
+    try:
+        code = commands[args.command](args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`fmpl ... | head`); as the note on SIGPIPE in
+        # the signal module's docs does, point stdout at devnull so that the
+        # flush at exit cannot raise again, and exit as SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -201,6 +201,21 @@ def _run_chunk(check: str, params: dict, primes: list[int]) -> list[PrimeOutcome
     return [run_one(check, params, p) for p in primes]
 
 
+def _stop_workers(pool: ProcessPoolExecutor) -> None:
+    """Cancel the queued chunks and end the workers now, with the chunks they hold.
+
+    Before Python 3.14 (``terminate_workers``) an executor cannot do this
+    itself, so the workers are read from its private table, which
+    ``shutdown`` clears.
+    """
+    workers = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in workers:
+        proc.terminate()
+    for proc in workers:
+        proc.join()
+
+
 # Chunks per worker in a pooled sweep: enough that the last chunks to finish
 # are short, few enough that dispatch stays a small fixed cost.
 CHUNKS_PER_WORKER = 8
@@ -223,8 +238,9 @@ def run_sweep(
     lists the primes in ascending order either way.  On interruption the
     unfinished primes are recorded as skips, so the report still covers the
     requested range: run alone, each prime that finished keeps its outcome;
-    in a pool, each prime of a chunk whose results came back does, and the
-    chunks still queued are cancelled rather than run.
+    in a pool, each prime of a chunk whose results came back does, the
+    chunks still queued are cancelled rather than run, and the workers are
+    ended with the chunks they hold.
     """
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
@@ -249,7 +265,7 @@ def run_sweep(
                         for outcome in fut.result():
                             outcomes[outcome.p] = outcome
                 except KeyboardInterrupt:
-                    pool.shutdown(wait=False, cancel_futures=True)
+                    _stop_workers(pool)
                     raise
     except KeyboardInterrupt:
         for p in primes:

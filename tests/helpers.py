@@ -1,15 +1,23 @@
-"""Shared index generators for the test grids, and reference evaluators."""
+"""Shared index generators for the test grids, reference evaluators, and the environment of CLI subprocesses."""
 
+import os
 from itertools import product
 
 import numpy as np
 
+import fmpl
 from fmpl.evaluate import eval_fmp, eval_zeta
 from fmpl.identities import _coef_mod
 from fmpl.modular import ModPoly, ensure_prime
 from fmpl.words import EMPTY, FormalSum, Index, shuffle
 
 I = Index.of
+
+
+def subprocess_env() -> dict[str, str]:
+    """os.environ with the fmpl under test first on PYTHONPATH, for a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(fmpl.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
 def compositions(total: int, parts: int):

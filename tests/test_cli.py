@@ -2,17 +2,19 @@ import argparse
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
 
 import pytest
 
-import fmpl
 from fmpl import sweep
 from fmpl.cli import build_parser, main
 from fmpl.identities import CheckResult
+from fmpl.modular import primes_in_range
 from fmpl.words import Index
+from helpers import subprocess_env
 
 
 def run_cli(capsys, *argv):
@@ -192,11 +194,9 @@ def test_verify_prop24_too_deep_usage_error(capsys):
 
 def test_product_correction_at_the_depth_limit_is_fast():
     # dep(l) + dep(r) = MAX_R + 1 in a fresh interpreter, so nothing is cached
-    src = os.path.dirname(os.path.dirname(fmpl.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     argv = [sys.executable, "-m", "fmpl.cli", "product", "correction", "-l", "1,1,1,1,1", "-r", "1,1,1,1"]
     start = time.monotonic()
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=subprocess_env(), timeout=120)
     elapsed = time.monotonic() - start
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 5, f"depth-9 correction took {elapsed:.1f}s"
@@ -267,8 +267,96 @@ def test_verify_main_leaves_numpy_ma_unimported():
         "    code = main(['verify', 'main', '-l', '2,1,2,1', '-r', '3,1,2', '--primes', '5..50', '--jobs', '1'])\n"
         "print(code, 'numpy.ma' in sys.modules)\n"
     )
-    src = os.path.dirname(os.path.dirname(fmpl.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
+
+
+# pfd at p near 1600 is a pure-Python double loop of about 4 s a prime, so this
+# sweep takes minutes at one worker and most of a minute at two
+SLOW_SWEEP = ["verify", "pfd", "--alpha", "1", "--beta", "1", "--primes", "1500..1700"]
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_verify_unwritable_out_is_a_usage_error_before_the_sweep(tmp_path, where):
+    path = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fmpl.cli", *SLOW_SWEEP, "--jobs", "1", "--out", str(path)],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=30,
+    )
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and str(path) in proc.stderr
+
+
+@pytest.mark.parametrize("target", ["parent", "group"])
+def test_interrupted_pooled_sweep_ends_its_workers(tmp_path, target):
+    # Ctrl-C reaches the parent alone (kill) or, as from a terminal, the whole group
+    report = tmp_path / "r.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fmpl.cli", *SLOW_SWEEP, "--jobs", "2", "--out", str(report)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=subprocess_env(),
+        start_new_session=True,
+        # a shell's background job starts with SIGINT ignored, and Python then installs no handler
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    try:
+        time.sleep(2)
+        if target == "parent":
+            os.kill(proc.pid, signal.SIGINT)
+        else:
+            os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=10)
+        assert proc.returncode == 130, err
+        results = json.loads(report.read_text())["results"]
+        assert [r["p"] for r in results] == primes_in_range(1500, 1700)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # no worker is left in the session
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=10)
+
+
+def _close_stdout_early(argv, read_bytes):
+    """Run the CLI, read `read_bytes` of its output, close the pipe; return (exit code, stderr)."""
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as by default, so the last write is a flush
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fmpl.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        proc.stdout.read(read_bytes)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    return proc.returncode, err.decode()
+
+
+def test_eval_into_a_closed_pipe_exits_141():
+    # li_(2,1) at p = 100003 is about 2 MB of text, more than a pipe holds
+    code, err = _close_stdout_early(["eval", "fmp", "-k", "2,1", "-p", "100003"], 10)
+    assert code == 141, err
+    assert "Traceback" not in err
+
+
+def test_verify_into_a_closed_pipe_exits_141_and_keeps_its_report(tmp_path):
+    report = tmp_path / "r.json"
+    argv = ["verify", "main", "-l", "1", "-r", "1", "--primes", "5..2000", "--jobs", "1", "--out", str(report)]
+    code, err = _close_stdout_early(argv, 0)
+    assert code == 141, err
+    assert "Traceback" not in err
+    assert json.loads(report.read_text())["summary"] == {"pass": len(primes_in_range(5, 2000)), "fail": 0, "skip": 0}
