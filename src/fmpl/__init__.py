@@ -64,7 +64,6 @@ from .identities import (
     CheckResult,
     CorrectionExpression,
     CorrectionTerm,
-    ExceptionalPrimeError,
     eval_expression,
     expand_triple,
     pfd_check,

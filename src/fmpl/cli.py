@@ -165,7 +165,7 @@ def _cmd_product(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         print(stuffle(args.l, args.r))
     else:
         try:
-            CHECKS["main"].validate(args.l, args.r)
+            CHECKS["main"].checked_args({"l": args.l, "r": args.r})
         except ValueError as exc:
             parser.error(str(exc))
         expr = shuffle_correction(args.l, args.r)
@@ -179,7 +179,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     check = CHECKS[args.check]
     params = {name: getattr(args, name) for name, _ in check.params}
     try:
-        check.validate(*check.args(params))
+        check.checked_args(params)
     except ValueError as exc:
         parser.error(str(exc))
     lo, hi = args.primes

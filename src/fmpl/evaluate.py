@@ -164,7 +164,7 @@ class PrefixTrie:
     """
 
     def __init__(self, indices: Iterable[Index]):
-        self.indices = sorted(set(indices), key=lambda k: k.parts)
+        self.indices = sorted(set(indices))
         depth = max((k.depth for k in self.indices), default=0)
         parent: list[list[int]] = [[] for _ in range(depth + 1)]
         part: list[list[int]] = [[] for _ in range(depth + 1)]
@@ -172,7 +172,7 @@ class PrefixTrie:
         path, prev = [0], ()
         for i, k in enumerate(self.indices):
             common = 0
-            for a, b in zip(prev, k.parts):
+            for a, b in zip(prev, k):
                 if a != b:
                     break
                 common += 1
@@ -183,7 +183,7 @@ class PrefixTrie:
                 part[j].append(k[j - 1])
                 leaf[j].append(-1)
             leaf[k.depth][path[-1]] = i
-            prev = k.parts
+            prev = k
         self.depth = depth
         self.parent = [np.array(ids, dtype=np.intp) for ids in parent]
         self.part = [np.array(ks, dtype=np.int64) for ks in part]
@@ -378,7 +378,7 @@ def eval_fmp_triple(lam: Index, mu: Index, nu: Index, p: int) -> ModPoly:
     if not fa or not fb:
         return ModPoly.zero(p)
     table = PartialSumTable(p, lam.depth + mu.depth, mul_mod(fa.coeffs, fb.coeffs, p))
-    for kz in nu.parts:
+    for kz in nu:
         table = table.advanced(kz)
     return ModPoly._from_reduced(p, table.values)
 
@@ -391,7 +391,7 @@ def _literal_block(k: Index, p: int, inv: list[int], start: int, term: int) -> I
     """
     for ls in product(range(1, p), repeat=k.depth):
         total, t = start, term
-        for l, kj in zip(ls, k.parts):
+        for l, kj in zip(ls, k):
             total += l
             rem = total % p
             if rem == 0:

@@ -11,6 +11,10 @@ coprime branch is rewritten with the partial-fraction decomposition
 verified by pfd_check, and the divisible branches produce variant zeta
 values that are immediately expanded into ordinary zeta values.  The
 recursion terminates because dep(lam) + dep(mu) drops at every step.
+Every coefficient it produces is a signed product of binomials and of the
+expansions' integer counts, so an int.  A generator is a CorrectionTerm,
+a named tuple, so an expression merges, sorts and hashes its terms as
+tuples.
 
 Each generator carries the bigrade (a, b) with a = wt(zeta) + wt(li) and
 b = wt(li); the shuffle congruence says the product li_k * li_k' equals
@@ -25,7 +29,7 @@ built once per expression and cached (_plan): the prefix trie of its
 distinct zeta indices, the prefix trie of the heads of its li indices (each
 less its last part), its distinct last parts and coefficients, and for each
 term its zeta leaf, its coefficient and its (li index, T-power) group.  Per
-prime, the distinct coefficients are reduced once, one walk of the zeta
+prime, the distinct coefficients are reduced mod p once, one walk of the zeta
 trie gives every zeta value, and each term c * zeta, reduced below p, is
 summed into its group's scalar by one np.add.reduceat: a sum of at most
 n_terms values < p, exact while n_terms * p < 2^63.  The li side is folded
@@ -48,10 +52,10 @@ F_p[T]) values and report the first difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Optional
+from operator import index, itemgetter
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -67,25 +71,15 @@ from .evaluate import (
     zeta_sums,
     zeta_values,
 )
-from .modular import ModPoly, ensure_prime, inverse_table, mod_inverse, reduce_mod
+from .modular import ModPoly, ensure_prime, inverse_table, reduce_mod
 from .surjections import variant_expansion
-from .words import EMPTY, FormalSum, Index, Rational, concat, exact, shuffle, star, stuffle
+from .words import EMPTY, FormalSum, Index, concat, shuffle, star, stuffle
 
 
-class ExceptionalPrimeError(ValueError):
-    """A rational coefficient has no meaning mod p (denominator hits p)."""
-
-    def __init__(self, p: int, coef: Fraction):
-        self.p = p
-        self.coef = coef
-        super().__init__(f"coefficient {coef} has denominator divisible by {p}")
-
-
-@dataclass(frozen=True)
-class CorrectionTerm:
+class CorrectionTerm(NamedTuple):
     """One generator coef * zeta(zeta_index) * (T^p)^tpow * li(li_index)."""
 
-    coef: Rational
+    coef: int
     zeta_index: Index
     tpow: int
     li_index: Index
@@ -98,10 +92,7 @@ class CorrectionTerm:
 
     @property
     def is_pure(self) -> bool:
-        return self.zeta_index == EMPTY and self.tpow == 0
-
-    def key(self) -> tuple:
-        return (self.zeta_index, self.tpow, self.li_index)
+        return not self.zeta_index and self.tpow == 0
 
     def __str__(self) -> str:
         return (
@@ -111,21 +102,21 @@ class CorrectionTerm:
 
 
 class CorrectionExpression:
-    """A canonical finite sum of generators (sorted, merged, zero-free)."""
+    """A canonical finite sum of generators (sorted, merged, zero-free).
+
+    The terms are merged on (zeta_index, tpow, li_index) and sorted by it;
+    each coefficient is taken through operator.index, so one that is not an
+    integer is a TypeError.
+    """
 
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Iterable[CorrectionTerm] = ()):
-        merged: dict[tuple, CorrectionTerm] = {}
+        merged: dict[tuple[Index, int, Index], int] = {}
         for t in terms:
-            key = t.key()
-            prev = merged.get(key)
-            coef = t.coef + prev.coef if prev else t.coef
-            if coef:
-                merged[key] = CorrectionTerm(coef, t.zeta_index, t.tpow, t.li_index)
-            else:
-                merged.pop(key, None)
-        object.__setattr__(self, "_terms", tuple(merged[k] for k in sorted(merged)))
+            key = t[1:]
+            merged[key] = merged.get(key, 0) + index(t[0])
+        object.__setattr__(self, "_terms", tuple(CorrectionTerm(c, *key) for key, c in sorted(merged.items()) if c))
         # hash(terms), computed once: the plan cache hashes the expression at every prime
         object.__setattr__(self, "_hash", hash(self._terms))
 
@@ -153,11 +144,8 @@ class CorrectionExpression:
     def __add__(self, other: "CorrectionExpression") -> "CorrectionExpression":
         return CorrectionExpression(self._terms + other._terms)
 
-    def __mul__(self, c: Rational) -> "CorrectionExpression":
-        c = exact(c)
-        return CorrectionExpression(
-            CorrectionTerm(t.coef * c, t.zeta_index, t.tpow, t.li_index) for t in self._terms
-        )
+    def __mul__(self, c: int) -> "CorrectionExpression":
+        return CorrectionExpression(_scaled(index(c), self))
 
     __rmul__ = __mul__
 
@@ -175,7 +163,11 @@ class CorrectionExpression:
         return f"CorrectionExpression({self})"
 
 
-def _pure(coef: Rational, li_index: Index) -> CorrectionTerm:
+def _scaled(c: int, expr: CorrectionExpression) -> Iterator[CorrectionTerm]:
+    return (CorrectionTerm(c * coef, z, tpow, li) for coef, z, tpow, li in expr.terms)
+
+
+def _pure(coef: int, li_index: Index) -> CorrectionTerm:
     return CorrectionTerm(coef, EMPTY, 0, li_index)
 
 
@@ -198,23 +190,23 @@ def expand_triple(lam: Index, mu: Index, nu: Index) -> CorrectionExpression:
     la, mb = lam[-1], mu[-1]
     terms: list[CorrectionTerm] = []
     for tau in range(mb):
-        sub = expand_triple(lam.head(), Index(mu.parts[:-1] + (mb - tau,)), Index((la + tau,) + nu.parts))
-        terms.extend((comb(la - 1 + tau, tau) * sub).terms)
+        sub = expand_triple(lam.head(), Index(mu[:-1] + (mb - tau,)), Index((la + tau,) + nu))
+        terms.extend(_scaled(comb(la - 1 + tau, tau), sub))
     for tau in range(la):
-        sub = expand_triple(Index(lam.parts[:-1] + (la - tau,)), mu.head(), Index((mb + tau,) + nu.parts))
-        terms.extend((comb(mb - 1 + tau, tau) * sub).terms)
+        sub = expand_triple(Index(lam[:-1] + (la - tau,)), mu.head(), Index((mb + tau,) + nu))
+        terms.extend(_scaled(comb(mb - 1 + tau, tau), sub))
     sign = -1 if mu.weight % 2 else 1
     merged = star(lam, mu)
     for i in range(1, a + b):
         terms.extend(_zeta_block(sign, variant_expansion(i, merged), i, nu))
     if a >= 2:
         c4 = comb(la + mb - 1, la)
-        li4 = Index(mu.parts[:-1] + (la + mb,) + nu.parts)
+        li4 = Index(mu[:-1] + (la + mb,) + nu)
         for j in range(1, a):
             terms.extend(_zeta_block(-c4, variant_expansion(j, lam.head()), j, li4))
     if b >= 2:
         c5 = comb(la + mb - 1, mb)
-        li5 = Index(lam.parts[:-1] + (la + mb,) + nu.parts)
+        li5 = Index(lam[:-1] + (la + mb,) + nu)
         for j in range(1, b):
             terms.extend(_zeta_block(-c5, variant_expansion(j, mu.head()), j, li5))
     return CorrectionExpression(terms)
@@ -250,12 +242,6 @@ def term_product(t1: CorrectionTerm, t2: CorrectionTerm) -> CorrectionExpression
                     )
                 )
     return CorrectionExpression(out)
-
-
-def _coef_mod(coef: Rational, p: int) -> int:
-    if coef.denominator % p == 0:
-        raise ExceptionalPrimeError(p, coef)
-    return coef.numerator * mod_inverse(coef.denominator, p) % p
 
 
 def _fold(rows: np.ndarray, adds: Iterable[tuple[int, int, int, np.ndarray]], p: int) -> np.ndarray:
@@ -295,9 +281,8 @@ class _Plan:
     The terms are ordered by group, a group being the terms that share an
     (li index, T-power) pair; group g's terms are starts[g] to
     starts[g + 1] - 1.  For each term, ``coef_of`` is its coefficient's
-    position in ``coefs`` (the distinct coefficients in order of first
-    appearance in the expression) and ``zeta_of`` its zeta index's leaf id
-    in the ``zeta`` trie.
+    position in ``coefs``, the distinct coefficients, and ``zeta_of`` its
+    zeta index's leaf id in the ``zeta`` trie.
 
     Each nonempty li index is its head (all parts but the last) and its last
     part.  ``heads`` is the prefix trie of the heads; the empty head is the
@@ -309,7 +294,7 @@ class _Plan:
     with that head; ``bare`` lists the groups of the empty li index.
     """
 
-    coefs: tuple[Rational, ...]
+    coefs: tuple[int, ...]
     coef_of: np.ndarray
     zeta: PrefixTrie
     zeta_of: np.ndarray
@@ -325,15 +310,13 @@ class _Plan:
 
 @lru_cache(maxsize=1024)
 def _plan(expr: CorrectionExpression) -> _Plan:
-    terms = expr.terms
-    positions: dict[Rational, int] = {}
-    coef_of = [positions.setdefault(t.coef, len(positions)) for t in terms]
+    terms = sorted(expr.terms, key=itemgetter(3, 2))  # by (li index, T-power), stably
+    starts = [n for n in range(len(terms)) if n == 0 or terms[n][2:] != terms[n - 1][2:]]
+    groups = [terms[n] for n in starts]
+    coefs: dict[int, int] = {}  # each distinct coefficient's position
+    coef_of = [coefs.setdefault(t.coef, len(coefs)) for t in terms]
     zeta = PrefixTrie(t.zeta_index for t in terms)
     zeta_leaf = {k: i for i, k in enumerate(zeta.indices)}
-    keys = [(t.li_index.parts, t.tpow) for t in terms]
-    order = sorted(range(len(terms)), key=keys.__getitem__)
-    starts = [n for n, i in enumerate(order) if n == 0 or keys[i] != keys[order[n - 1]]]
-    groups = [terms[order[n]] for n in starts]
     heads = PrefixTrie(t.li_index.head() for t in groups if t.li_index)
     head_leaf = {k: i for i, k in enumerate(heads.indices)}
     parts = sorted({t.li_index[-1] for t in groups if t.li_index})
@@ -347,10 +330,10 @@ def _plan(expr: CorrectionExpression) -> _Plan:
         else:
             bare.append(g)
     return _Plan(
-        coefs=tuple(positions),
-        coef_of=np.array([coef_of[i] for i in order], dtype=np.intp),
+        coefs=tuple(coefs),
+        coef_of=np.array(coef_of, dtype=np.intp),
         zeta=zeta,
-        zeta_of=np.array([zeta_leaf[terms[i].zeta_index] for i in order], dtype=np.intp),
+        zeta_of=np.array([zeta_leaf[t.zeta_index] for t in terms], dtype=np.intp),
         starts=np.array(starts, dtype=np.intp),
         heads=heads,
         parts=np.array(parts, dtype=np.int64),
@@ -365,13 +348,11 @@ def _plan(expr: CorrectionExpression) -> _Plan:
 def eval_expression(expr: CorrectionExpression, p: int) -> ModPoly:
     """Evaluate a generator sum in F_p[T], from its cached plan (see _Plan).
 
-    Each distinct coefficient is reduced once, in order of first
-    appearance, so ExceptionalPrimeError names the first term's coefficient
-    whose denominator p divides, even if that term's zeta value is 0.  The
-    zeta values come from one walk of the plan's zeta trie.  Each term
-    c * zeta is reduced below p, and np.add.reduceat sums each group's
-    terms into its scalar s_g: a sum of at most n_terms values < p, exact
-    while n_terms * p < 2^63.  A group whose scalar is 0 is skipped.
+    Each distinct coefficient is reduced mod p once, and the zeta values
+    come from one walk of the plan's zeta trie.  Each term c * zeta is
+    reduced below p, and np.add.reduceat sums each group's terms into its
+    scalar s_g: a sum of at most n_terms values < p, exact while
+    n_terms * p < 2^63.  A group whose scalar is 0 is skipped.
 
     The li side is folded through one window step W_b per last part b, by
     the identity in the module docstring, which is exact because W_b is
@@ -391,7 +372,7 @@ def eval_expression(expr: CorrectionExpression, p: int) -> ModPoly:
     if not expr:
         return ModPoly.zero(p)
     plan = _plan(expr)
-    coefs = np.array([_coef_mod(c, p) for c in plan.coefs], dtype=np.int64)
+    coefs = np.array([c % p for c in plan.coefs], dtype=np.int64)
     values = reduce_mod(coefs[plan.coef_of] * zeta_sums(plan.zeta, p)[plan.zeta_of], p)
     scalars = reduce_mod(np.add.reduceat(values, plan.starts), p)
     live = scalars != 0
@@ -433,7 +414,7 @@ def eval_expression(expr: CorrectionExpression, p: int) -> ModPoly:
 def eval_formal_sum_zeta(fs: FormalSum, p: int) -> int:
     """Evaluate a formal sum of indices through zeta, by one prefix-trie walk."""
     ensure_prime(p)
-    coefs = [(k, _coef_mod(c, p)) for k, c in fs]
+    coefs = [(k, c % p) for k, c in fs]
     zeta = zeta_values((k for k, _ in coefs), p)
     return sum(c * zeta[k] for k, c in coefs) % p
 
@@ -512,11 +493,11 @@ def verify_eq7(lam: Index, mu: Index, nu: Index, p: int) -> CheckResult:
     terms: list[tuple[int, int, np.ndarray]] = []
     for tau in range(mb):
         c = comb(la - 1 + tau, tau) % p
-        sub = eval_fmp_triple(lam.head(), Index(mu.parts[:-1] + (mb - tau,)), Index((la + tau,) + nu.parts), p)
+        sub = eval_fmp_triple(lam.head(), Index(mu[:-1] + (mb - tau,)), Index((la + tau,) + nu), p)
         terms.append((c, 0, sub.coeffs))
     for tau in range(la):
         c = comb(mb - 1 + tau, tau) % p
-        sub = eval_fmp_triple(Index(lam.parts[:-1] + (la - tau,)), mu.head(), Index((mb + tau,) + nu.parts), p)
+        sub = eval_fmp_triple(Index(lam[:-1] + (la - tau,)), mu.head(), Index((mb + tau,) + nu), p)
         terms.append((c, 0, sub.coeffs))
     sign = p - 1 if mu.weight % 2 else 1
     merged = star(lam, mu)
@@ -525,12 +506,12 @@ def verify_eq7(lam: Index, mu: Index, nu: Index, p: int) -> CheckResult:
         terms.append((sign * eval_zeta_variant(i, merged, p) % p, p * i, li_nu))
     if a >= 2:
         c4 = comb(la + mb - 1, la) % p
-        li4 = eval_fmp(Index(mu.parts[:-1] + (la + mb,) + nu.parts), p).coeffs
+        li4 = eval_fmp(Index(mu[:-1] + (la + mb,) + nu), p).coeffs
         for j in range(1, a):
             terms.append(((p - c4) * eval_zeta_variant(j, lam.head(), p) % p, p * j, li4))
     if b >= 2:
         c5 = comb(la + mb - 1, mb) % p
-        li5 = eval_fmp(Index(lam.parts[:-1] + (la + mb,) + nu.parts), p).coeffs
+        li5 = eval_fmp(Index(lam[:-1] + (la + mb,) + nu), p).coeffs
         for j in range(1, b):
             terms.append(((p - c5) * eval_zeta_variant(j, mu.head(), p) % p, p * j, li5))
     rhs = _accumulate(max(offset + len(table) for _, offset, table in terms), terms, p)

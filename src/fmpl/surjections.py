@@ -147,7 +147,7 @@ def _expansions(k: Index) -> tuple[FormalSum, ...]:
 
     The maps grow as in enumerate_phi, depth first: groups holds k's parts
     summed per used value, in the values' order; last is the previous rank."""
-    counts = [Counter() for _ in k.parts]  # indexed by descents = beta - 1
+    counts = [Counter() for _ in k]  # indexed by descents = beta - 1
     groups: list[int] = []
 
     def grow(j: int, last: int, descents: int):

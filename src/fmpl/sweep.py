@@ -8,10 +8,9 @@ over every prime in an inclusive range.  A pool of workers receives the
 primes in chunks, largest primes first, as immutable (check, params,
 primes) task descriptors, one task per chunk; results are merged into a
 report ordered by prime, and an interrupted sweep keeps the outcomes of
-the chunks whose results came back.  A prime where a rational coefficient
-loses meaning, or one outside the domain where the check's identity is
-claimed, is recorded as a skip with its reason, never silently dropped,
-so a sweep verdict is always "pass with exception set".
+the chunks whose results came back.  A prime outside the domain where the
+check's identity is claimed is recorded as a skip with its reason, never
+silently dropped, so a sweep verdict is always "pass with exception set".
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from typing import Callable, Optional
 
 from .identities import (
     CheckResult,
-    ExceptionalPrimeError,
     pfd_check,
     verify_eq7,
     verify_li_at_one,
@@ -41,6 +39,11 @@ from .surjections import MAX_R, bijection_roundtrip
 from .words import Index
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
+
+# Bound on the total weight of a check's index parameters.  Every part that a
+# check merges or groups (a stuffle or star merge, a descent group) is at most
+# that total, so below it every part fits the int64 arrays of the evaluators.
+MAX_WEIGHT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -139,9 +142,9 @@ class Check:
     ``params`` lists each parameter's name and type (``Index``, or ``int``
     for a positive integer) in call order; the check runs as
     ``run(*args, p)``.  ``validate(*args)`` raises ValueError for parameters
-    outside what the check supports.  Where ``bound`` is given, the identity
-    is claimed only for primes p > ``bound(*args)``, the quantity that
-    ``bound_text`` names.
+    outside what the check supports, beyond what ``checked_args`` checks of
+    every check.  Where ``bound`` is given, the identity is claimed only for
+    primes p > ``bound(*args)``, the quantity that ``bound_text`` names.
     """
 
     run: Callable[..., CheckResult]
@@ -153,6 +156,26 @@ class Check:
     def args(self, params: dict) -> list:
         """The parameter values in call order."""
         return [params[name] for name, _ in self.params]
+
+    def checked_args(self, params: dict) -> list:
+        """The parameter values in call order, or ValueError where one is not supported.
+
+        Each ``int`` parameter must be a positive int and each ``Index`` one
+        an Index, the index parameters' total weight must be below
+        MAX_WEIGHT, and then ``validate`` must pass.  The CLI and run_sweep
+        both check here, once, before any prime runs.
+        """
+        args = [params.get(name) for name, _ in self.params]
+        for (name, typ), value in zip(self.params, args):
+            if typ is int and not (isinstance(value, int) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            if typ is Index and not isinstance(value, Index):
+                raise ValueError(f"{name} must be an Index, got {value!r}")
+        weight = sum(value.weight for value in args if isinstance(value, Index))
+        if weight >= MAX_WEIGHT:
+            raise ValueError(f"total index weight {weight} is not below the supported maximum 2^63")
+        self.validate(*args)
+        return args
 
 
 CHECKS: dict[str, Check] = {
@@ -182,15 +205,12 @@ def echo_params(params: dict) -> dict[str, str]:
 
 
 def run_one(check: str, params: dict, p: int) -> PrimeOutcome:
-    """Execute one (check, prime) task; exceptional and out-of-domain primes become skips."""
+    """Execute one (check, prime) task; out-of-domain primes become skips."""
     entry = CHECKS[check]
     args = entry.args(params)
     if entry.bound is not None and p <= (bound := entry.bound(*args)):
         return PrimeOutcome(p, SKIP, f"outside the domain p > {entry.bound_text} = {bound}")
-    try:
-        result = entry.run(*args, p)
-    except ExceptionalPrimeError as exc:
-        return PrimeOutcome(p, SKIP, str(exc))
+    result = entry.run(*args, p)
     if result.ok:
         return PrimeOutcome(p, PASS, result.detail)
     return PrimeOutcome(p, FAIL, result.detail)
@@ -244,8 +264,7 @@ def run_sweep(
     """
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
-    entry = CHECKS[check]
-    entry.validate(*entry.args(params))
+    CHECKS[check].checked_args(params)
     primes = primes_in_range(prime_from, prime_to)
     workers = min(jobs, len(primes), os.cpu_count() or 1)
     report = SweepReport(check, echo_params(params), prime_from, prime_to)

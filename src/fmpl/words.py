@@ -10,46 +10,34 @@ shuffle product is computed on words by the interleaving recursion and
 converted back to indices; the stuffle product is computed directly on
 indices by the quasi-shuffle recursion with the extra merge term.
 
-Formal sums keep exact rational coefficients and canonical (lexicographic)
-term order so that equality and serialization are deterministic.  An int
-coefficient stays an int, and anything else becomes a Fraction, so the
-integer sums that every product here produces carry no Fraction arithmetic.
+An Index is a tuple, so comparing, sorting and hashing indices run as
+tuple operations.  Formal sums have int coefficients (every product here
+is an integer combination) and canonical (lexicographic) term order, so
+that equality and serialization are deterministic.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Iterator, Mapping, Union
 
-Rational = Union[int, Fraction]
 
-
-def exact(c) -> Rational:
-    """c itself when it is an int, else Fraction(c)."""
-    return c if type(c) is int else Fraction(c)
-
-
-@dataclass(frozen=True, order=True)
-class Index:
+class Index(tuple):
     """A finite sequence of positive integers; () is the empty index."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(not isinstance(k, int) or k < 1 for k in self.parts):
-            raise ValueError(f"index parts must be positive integers: {self.parts}")
-        # the generated dataclass hash, hash((parts,)), computed once
-        object.__setattr__(self, "_hash", hash((self.parts,)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, parts: Iterable[int] = ()):
+        self = super().__new__(cls, parts)
+        if any(not isinstance(k, int) or k < 1 for k in self):
+            raise ValueError(f"index parts must be positive integers: {tuple(self)}")
+        return self
 
     @classmethod
     def of(cls, *parts: int) -> "Index":
-        return cls(tuple(parts))
+        return cls(parts)
 
     @classmethod
     def parse(cls, text: str) -> "Index":
@@ -58,45 +46,43 @@ class Index:
         if text == "-" or text == "":
             return EMPTY
         try:
-            return cls(tuple(int(t) for t in text.split(",")))
+            return cls(int(t) for t in text.split(","))
         except ValueError:
             raise ValueError(f"malformed index {text!r}; expected e.g. '2,3' or '-'") from None
 
     @property
+    def parts(self) -> tuple[int, ...]:
+        return tuple(self)
+
+    @property
     def weight(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def depth(self) -> int:
-        return len(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
+        return len(self)
 
     def head(self) -> "Index":
         """All parts but the last."""
-        return Index(self.parts[:-1])
+        return Index(self[:-1])
 
     def text(self) -> str:
         """CLI syntax: '2,3', or '-' for the empty index."""
-        return ",".join(str(k) for k in self.parts) if self.parts else "-"
+        return ",".join(map(str, self)) if self else "-"
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(k) for k in self.parts) + ")"
+        return "(" + ",".join(map(str, self)) + ")"
+
+    def __repr__(self) -> str:
+        return f"Index(parts={tuple(self)!r})"
 
 
-EMPTY = Index(())
+EMPTY = Index()
 
 
 def concat(a: Index, b: Index) -> Index:
     """Concatenation (a_1, ..., a_r, b_1, ..., b_s)."""
-    return Index(a.parts + b.parts)
+    return Index(a + b)
 
 
 def star(a: Index, b: Index) -> Index:
@@ -105,9 +91,9 @@ def star(a: Index, b: Index) -> Index:
     (a_1, ..., a_r) star (b_1, ..., b_s)
         = (a_1, ..., a_{r-1}, a_r + b_s, b_{s-1}, ..., b_1).
     """
-    if not a.parts or not b.parts:
+    if not a or not b:
         raise ValueError("star requires nonempty operands")
-    return Index(a.parts[:-1] + (a.parts[-1] + b.parts[-1],) + b.parts[-2::-1])
+    return Index(a[:-1] + (a[-1] + b[-1],) + b[-2::-1])
 
 
 def index_to_word(k: Index) -> str:
@@ -129,39 +115,33 @@ def word_to_index(w: str) -> Index:
         else:
             parts.append(run + 1)
             run = 0
-    return Index(tuple(parts))
+    return Index(parts)
 
 
 class FormalSum:
-    """A finite rational-linear combination of indices.
+    """A finite integer-linear combination of indices.
 
     Stored canonically: zero coefficients dropped, terms ordered
-    lexicographically by parts.
+    lexicographically by parts.  Each coefficient is taken through
+    operator.index, so a coefficient that is not an integer is a TypeError.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[Mapping[Index, Rational], Iterable[tuple[Index, Rational]]] = ()):
-        merged: dict[Index, Rational] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for k, c in items:
-            c = exact(c)
-            if c:
-                acc = merged.get(k, 0) + c
-                if acc:
-                    merged[k] = acc
-                else:
-                    merged.pop(k, None)
-        object.__setattr__(self, "_terms", dict(sorted(merged.items())))
+    def __init__(self, terms: Union[Mapping[Index, int], Iterable[tuple[Index, int]]] = ()):
+        merged: dict[Index, int] = {}
+        for k, c in terms.items() if isinstance(terms, Mapping) else terms:
+            merged[k] = merged.get(k, 0) + index(c)
+        object.__setattr__(self, "_terms", dict(sorted((k, c) for k, c in merged.items() if c)))
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalSum is immutable")
 
     @classmethod
-    def single(cls, k: Index, c: Rational = 1) -> "FormalSum":
+    def single(cls, k: Index, c: int = 1) -> "FormalSum":
         return cls([(k, c)])
 
-    def __iter__(self) -> Iterator[tuple[Index, Rational]]:
+    def __iter__(self) -> Iterator[tuple[Index, int]]:
         return iter(self._terms.items())
 
     def __len__(self) -> int:
@@ -184,8 +164,8 @@ class FormalSum:
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         return self + (-1) * other
 
-    def __mul__(self, c: Rational) -> "FormalSum":
-        c = exact(c)
+    def __mul__(self, c: int) -> "FormalSum":
+        c = index(c)
         return FormalSum([(k, v * c) for k, v in self._terms.items()])
 
     __rmul__ = __mul__
@@ -247,4 +227,4 @@ def _stuffle_parts(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[tuple[
 
 def stuffle(k: Index, kp: Index) -> FormalSum:
     """Stuffle (quasi-shuffle) product of two indices."""
-    return FormalSum([(Index(t), c) for t, c in _stuffle_parts(k.parts, kp.parts)])
+    return FormalSum([(Index(t), c) for t, c in _stuffle_parts(k, kp)])

@@ -7,7 +7,6 @@ import numpy as np
 
 import fmpl
 from fmpl.evaluate import eval_fmp, eval_zeta
-from fmpl.identities import _coef_mod
 from fmpl.modular import ModPoly, ensure_prime
 from fmpl.words import EMPTY, FormalSum, Index, shuffle
 
@@ -67,13 +66,11 @@ def eval_expression_per_term(expr, p):
     The reference for identities.eval_expression: each term's eval_fmp
     coefficients times its scalar are added into one int64 array at offset
     p * tpow and reduced after each add (entries stay below p + (p - 1)^2).
-    It raises ExceptionalPrimeError at the first term whose denominator p
-    divides.
     """
     ensure_prime(p)
     parts = []
     for t in expr.terms:
-        scalar = _coef_mod(t.coef, p) * eval_zeta(t.zeta_index, p) % p
+        scalar = t.coef * eval_zeta(t.zeta_index, p) % p
         if scalar:
             parts.append((p * t.tpow, scalar, eval_fmp(t.li_index, p).coeffs))
     out = np.zeros(max((shift + len(c) for shift, _, c in parts), default=0), dtype=np.int64)

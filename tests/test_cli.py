@@ -192,6 +192,27 @@ def test_verify_prop24_too_deep_usage_error(capsys):
     assert "exceeds the supported maximum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prop24", "-i", "1", "-k", str(2**63)],
+        ["stuffle", "-l", str(2**62), "-r", str(2**62)],
+    ],
+)
+def test_verify_index_weight_of_2_to_the_63_usage_error(capsys, argv):
+    # each part is accepted, but a part or a stuffle merge of 2^63 would not
+    # fit the int64 arrays of the evaluators
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv, "--primes", "5..7", "--jobs", "1"])
+    assert exc.value.code == 2
+    assert "total index weight 9223372036854775808 is not below the supported maximum 2^63" in capsys.readouterr().err
+
+
+def test_verify_stuffle_just_below_the_weight_bound(capsys):
+    code, out, _ = run_cli(capsys, "verify", "stuffle", "-l", str(2**62), "-r", str(2**62 - 1), "--primes", "5..7", "--jobs", "1")
+    assert code == 0 and "pass=2 fail=0 skip=0" in out
+
+
 def test_product_correction_at_the_depth_limit_is_fast():
     # dep(l) + dep(r) = MAX_R + 1 in a fresh interpreter, so nothing is cached
     argv = [sys.executable, "-m", "fmpl.cli", "product", "correction", "-l", "1,1,1,1,1", "-r", "1,1,1,1"]
@@ -259,17 +280,18 @@ def test_index_with_zero_part_rejected(capsys):
 
 def test_verify_main_leaves_numpy_ma_unimported():
     # np.unique without return_* flags imports numpy.ma (through
-    # np.ma.is_masked in numpy 2.4), which costs a sweep about 3 MiB of RSS
+    # np.ma.is_masked in numpy 2.4), which costs a sweep about 3 MiB of RSS;
+    # and the symbolic layer's coefficients are ints, so nothing imports fractions
     script = (
         "import contextlib, io, sys\n"
         "from fmpl.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(['verify', 'main', '-l', '2,1,2,1', '-r', '3,1,2', '--primes', '5..50', '--jobs', '1'])\n"
-        "print(code, 'numpy.ma' in sys.modules)\n"
+        "print(code, 'numpy.ma' in sys.modules, 'fractions' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
+    assert proc.stdout.split() == ["0", "False", "False"]
 
 
 # pfd at p near 1600 is a pure-Python double loop of about 4 s a prime, so this

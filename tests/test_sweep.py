@@ -7,12 +7,11 @@ import json
 import multiprocessing
 import tracemalloc
 from concurrent.futures import Future, ProcessPoolExecutor
-from fractions import Fraction
 
 import pytest
 
 from fmpl import modular, sweep
-from fmpl.identities import CheckResult, ExceptionalPrimeError, verify_stuffle
+from fmpl.identities import CheckResult, verify_stuffle
 from fmpl.modular import primes_in_range
 from fmpl.surjections import MAX_R
 from fmpl.sweep import CHECKS, Check, PrimeOutcome, SweepReport, run_one, run_sweep
@@ -78,6 +77,13 @@ def test_li_at_one_domain_skip_is_decided_by_the_registry(monkeypatch):
         ("eq7", {"L": EMPTY, "M": I(1), "N": I(1)}),
         ("prop24", {"i": 3, "k": I(1, 1)}),
         ("bijection", {"r": MAX_R + 1}),
+        ("pfd", {"alpha": 0, "beta": 1}),
+        ("pfd", {"alpha": 1, "beta": 1.0}),
+        ("pfd", {"alpha": 1}),
+        ("bijection", {"r": 0}),
+        ("prop24", {"i": 1, "k": (1, 1)}),
+        ("stuffle", {"l": I(2**62), "r": I(2**62)}),
+        ("prop24", {"i": 1, "k": I(2**63)}),
     ],
 )
 def test_run_sweep_validates_before_any_prime(monkeypatch, check, params):
@@ -123,20 +129,6 @@ def test_pool_is_capped_by_primes_and_cores(monkeypatch, jobs, cores, prime_to, 
 def test_run_sweep_rejects_unknown_check():
     with pytest.raises(ValueError, match="unknown check"):
         run_sweep("nope", {}, 5, 7)
-
-
-def test_exceptional_prime_becomes_skip(monkeypatch):
-    def flaky(p):
-        if p == 7:
-            raise ExceptionalPrimeError(p, Fraction(1, 7))
-        return CheckResult(True)
-
-    monkeypatch.setitem(CHECKS, "flaky", Check(flaky, ()))
-    report = run_sweep("flaky", {}, 5, 11)
-    statuses = {r.p: r.status for r in report.results}
-    assert statuses == {5: "pass", 7: "skip", 11: "pass"}
-    assert report.exit_code == 0  # skips do not fail a sweep
-    assert "denominator divisible by 7" in report.to_json_dict()["results"][1]["detail"]
 
 
 def test_json_report_schema():
