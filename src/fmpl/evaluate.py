@@ -39,11 +39,11 @@ length: zeta's tables are cut at p.
 
 The per-prime tables (inverse powers, and the values of eval_zeta,
 eval_fmp and eval_fmp_triple) are memoized by modular.per_prime_cache,
-with p as the last argument: the prime in use keeps all of its tables, and
-other primes keep theirs only while together they stay under
-modular.PRIME_CACHE_BYTES, so a sweep over a wide range holds a bounded
-amount of memory while checks that return to a few primes still hit.  The
-sizes are counted in bytes, not entries, because each table grows with p.
+with p as the last argument: calls read the tables of the prime in use
+only, and the tables of earlier primes stay, unread, as heap ballast of at
+most modular.PRIME_CACHE_BYTES, so a sweep over a wide range holds a
+bounded amount of memory.  The sizes are counted in bytes, not entries,
+because each table grows with p.
 A single index's final stage table is kept once, as eval_fmp's
 coefficients, which the variants and the three-block weights read too.
 eval_fmp and eval_fmp_triple hand their final tables, already in [0, p),
@@ -199,11 +199,6 @@ class PrefixTrie:
         self.first_child.append(np.zeros(len(self.leaf[depth]) + 1, dtype=np.intp))
 
 
-@lru_cache(maxsize=256)
-def _trie_of(indices: frozenset) -> PrefixTrie:
-    return PrefixTrie(indices)
-
-
 # Bytes of the tables that one batched window step may produce: a level's
 # nodes are taken in blocks of at most this size, or one node at a time
 # where a single table is larger.
@@ -276,15 +271,6 @@ def zeta_sums(trie: PrefixTrie, p: int) -> np.ndarray:
     for ids, rows in walk(trie, p, p):
         out[ids] = rows.sum(axis=1) % p
     return out
-
-
-def zeta_values(indices: Iterable[Index], p: int) -> dict[Index, int]:
-    """zeta(k) mod p for each distinct k in indices, by one walk of their prefix trie.
-
-    The caller has checked that p is prime.
-    """
-    trie = _trie_of(frozenset(indices))
-    return dict(zip(trie.indices, zeta_sums(trie, p).tolist()))
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,7 @@ import numpy as np
 from .evaluate import (
     WALK_BLOCK_BYTES,
     PrefixTrie,
+    _inv_powers,
     _window_step,
     eval_fmp,
     eval_fmp_triple,
@@ -69,7 +70,6 @@ from .evaluate import (
     eval_zeta_variant,
     walk,
     zeta_sums,
-    zeta_values,
 )
 from .modular import ModPoly, ensure_prime, inverse_table, reduce_mod
 from .surjections import variant_expansion
@@ -411,11 +411,17 @@ def eval_expression(expr: CorrectionExpression, p: int) -> ModPoly:
     return ModPoly._from_reduced(p, out)
 
 
+@lru_cache(maxsize=256)
+def _trie_of(indices: frozenset) -> PrefixTrie:
+    return PrefixTrie(indices)
+
+
 def eval_formal_sum_zeta(fs: FormalSum, p: int) -> int:
     """Evaluate a formal sum of indices through zeta, by one prefix-trie walk."""
     ensure_prime(p)
     coefs = [(k, c % p) for k, c in fs]
-    zeta = zeta_values((k for k, _ in coefs), p)
+    trie = _trie_of(frozenset(k for k, _ in coefs))
+    zeta = dict(zip(trie.indices, zeta_sums(trie, p).tolist()))
     return sum(c * zeta[k] for k, c in coefs) % p
 
 
@@ -446,34 +452,46 @@ def _scalar_diff(lhs: int, rhs: int) -> CheckResult:
 
 
 def pfd_check(alpha: int, beta: int, p: int) -> CheckResult:
-    """Exhaustively verify the two-variable partial fraction decomposition.
+    """Verify the two-variable partial fraction decomposition on F_p^x x F_p^x.
 
     For all X, Y in F_p^x with X + Y nonzero mod p:
         1/(X^alpha Y^beta)
           = sum_{tau < beta} C(alpha-1+tau, tau) / ((X+Y)^(alpha+tau) Y^(beta-tau))
           + sum_{tau < alpha} C(beta-1+tau, tau) / ((X+Y)^(beta+tau) X^(alpha-tau)).
+    Every term is homogeneous of degree -(alpha+beta) in (X, Y), so the
+    identity holds at (X, Y) iff it holds at (1, Y/X), and it holds
+    everywhere iff it holds on the row X = 1, Y = 1 .. p-2 (Y = p-1 makes
+    X + Y zero).  The row is an int64 array over Y with Z = Y + 1.  Each
+    sum starts its powers 1/Z^(alpha+tau) or 1/Z^(beta+tau), and
+    1/Y^(beta-tau), at the cached inverse-power tables and steps them by one
+    factor per tau, 1/Z or Y: O(p) memory and O((alpha+beta) p) work.
     """
     ensure_prime(p)
     if alpha < 1 or beta < 1:
         raise ValueError("exponents must be positive")
-    inv = inverse_table(p).tolist()
     ca = [comb(alpha - 1 + t, t) % p for t in range(beta)]
     cb = [comb(beta - 1 + t, t) % p for t in range(alpha)]
-    for x in range(1, p):
-        ix = inv[x]
-        for y in range(1, p):
-            z = (x + y) % p
-            if z == 0:
-                continue
-            iy, iz = inv[y], inv[z]
-            lhs = pow(ix, alpha, p) * pow(iy, beta, p) % p
-            rhs = 0
-            for t in range(beta):
-                rhs += ca[t] * pow(iz, alpha + t, p) % p * pow(iy, beta - t, p) % p
-            for t in range(alpha):
-                rhs += cb[t] * pow(iz, beta + t, p) % p * pow(ix, alpha - t, p) % p
-            if lhs != rhs % p:
-                return CheckResult(False, f"X={x} Y={y}: lhs={lhs} rhs={rhs % p}")
+    y = np.arange(1, p - 1, dtype=np.int64)
+    inv_z = inverse_table(p)[2:]
+    lhs = _inv_powers(beta, p)[1 : p - 1]
+    rhs = np.zeros(p - 2, dtype=np.int64)
+    for coefs, z_power, y_power in (
+        (ca, _inv_powers(alpha, p)[2:].copy(), lhs.copy()),
+        (cb, _inv_powers(beta, p)[2:].copy(), None),
+    ):
+        for c in coefs:
+            term = z_power if y_power is None else reduce_mod(z_power * y_power, p)
+            rhs += reduce_mod(term * c, p)
+            reduce_mod(rhs, p)
+            z_power *= inv_z
+            reduce_mod(z_power, p)
+            if y_power is not None:
+                y_power *= y
+                reduce_mod(y_power, p)
+    bad = np.flatnonzero(lhs != rhs)
+    if len(bad):
+        i = int(bad[0])
+        return CheckResult(False, f"X=1 Y={i + 1}: lhs={lhs[i]} rhs={rhs[i]}")
     return CheckResult(True)
 
 

@@ -31,19 +31,18 @@ within p of x, on the same side of 0, and cannot overflow, and the result
 is the same as ``x % p`` on either sign.
 
 Tables that depend on a prime (the inverse table here, and evaluate's
-inverse-power and polynomial tables) are memoized by
-`per_prime_cache` in one memo keyed first by the prime.  A sweep visits
-each prime once, and a table's size grows with p, so a bound on the number
-of entries would let memory grow with the prime range; the memo is bounded
-in bytes instead.  The tables of the prime in use are always kept; those of
-other primes stay while together they hold at most PRIME_CACHE_BYTES, and
-past that whole primes are dropped, least recently used first, so checks
-that switch between a few primes keep their hits.
+inverse-power and polynomial tables) are memoized by `per_prime_cache`,
+which reads the tables of the prime in use only.  A sweep visits each
+prime once, so a call that returns to an earlier prime recomputes.  The
+earlier primes' tables are kept, never read again, while together they
+hold at most PRIME_CACHE_BYTES, oldest dropped first: they keep the heap
+warm for the next prime's tables of the same sizes.  The bound is in bytes
+because a table's size grows with p.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, namedtuple
+from collections import deque, namedtuple
 from functools import lru_cache, wraps
 from itertools import compress
 from math import isqrt
@@ -172,11 +171,11 @@ def _power_table(t: int, n: int, p: int) -> np.ndarray:
     return reduce_mod(np.array(high, dtype=np.int64)[:, None] * np.array(low[:m], dtype=np.int64), p).ravel()[:n]
 
 
-# Bytes that the cached tables of primes other than the one in use may hold
-# together before whole primes are dropped, least recently used first.
-# No shipped check returns to an earlier prime: the bytes keep the heap warm.
-# Keeping only the prime in use took `verify prop24 -i 2 -k 1,2,1 --primes
-# 5..15000 --jobs 1` from 2.0 to 2.3 s, with 16x the minor page faults.
+# Bytes that the tables of earlier primes may hold together before the
+# oldest are dropped.  Nothing reads them again: no shipped check returns to
+# an earlier prime, and the bytes keep the heap warm.  Keeping only the prime
+# in use took `verify prop24 -i 2 -k 1,2,1 --primes 5..15000 --jobs 1` from
+# 1.6 to 1.9 s in process, with 15x the minor page faults.
 PRIME_CACHE_BYTES = 8 << 20
 # What a cached value that is neither an array nor a ModPoly counts for.
 SMALL_VALUE_BYTES = 64
@@ -195,53 +194,27 @@ def _value_nbytes(value) -> int:
 class _PrimeTables:
     """The memo behind per_prime_cache.
 
-    ``by_prime`` maps each prime, least recently used first, to its entries
-    {(function, args): value}; ``nbytes`` holds each prime's total size.
-    ``entries`` is the dict of the prime in use, which is last in
-    ``by_prime`` once it holds anything.
+    ``entries`` maps (function, args) to the value at ``current``, the
+    prime in use.  ``retired`` holds (bytes, entries) of earlier primes,
+    oldest first, ``retired_bytes`` their total; nothing reads them.
     """
 
     def __init__(self):
-        self.by_prime: OrderedDict[int, dict] = OrderedDict()
-        self.nbytes: dict[int, int] = {}
-        self.total = 0
         self.current = None
         self.entries: dict = {}
+        self.retired: deque[tuple[int, dict]] = deque()
+        self.retired_bytes = 0
 
     def enter(self, p: int) -> None:
-        """Make p the prime in use, and drop other primes past the bound."""
+        """Make p the prime in use, with no entries, and drop the oldest retired primes past the bound."""
+        if self.entries:
+            size = sum(map(_value_nbytes, self.entries.values()))
+            self.retired.append((size, self.entries))
+            self.retired_bytes += size
+        while self.retired_bytes > PRIME_CACHE_BYTES:
+            self.retired_bytes -= self.retired.popleft()[0]
         self.current = p
-        if p in self.by_prime:
-            self.by_prime.move_to_end(p)
-            self.entries = self.by_prime[p]
-        else:
-            self.entries = {}
-        kept = self.nbytes.get(p, 0)
-        while self.total - kept > PRIME_CACHE_BYTES:
-            dropped, _ = self.by_prime.popitem(last=False)
-            self.total -= self.nbytes.pop(dropped)
-
-    def store(self, key: tuple, value) -> None:
-        """Add an entry for the prime in use."""
-        if self.current not in self.by_prime:
-            self.by_prime[self.current] = self.entries
-            self.nbytes[self.current] = 0
-        size = _value_nbytes(value)
-        self.entries[key] = value
-        self.nbytes[self.current] += size
-        self.total += size
-
-    def keys_of(self, fn: Callable) -> list[tuple[int, tuple]]:
-        return [(p, key) for p, entries in self.by_prime.items() for key in entries if key[0] is fn]
-
-    def drop(self, fn: Callable) -> None:
-        """Remove fn's entries at every prime."""
-        for p, key in self.keys_of(fn):
-            size = _value_nbytes(self.by_prime[p].pop(key))
-            self.nbytes[p] -= size
-            self.total -= size
-            if not self.by_prime[p]:
-                del self.by_prime[p], self.nbytes[p]
+        self.entries = {}
 
 
 _TABLES = _PrimeTables()
@@ -251,18 +224,18 @@ _MISSING = object()
 def per_prime_cache(fn: Callable) -> Callable:
     """Memoize fn, whose last positional argument is the prime p, in the per-prime memo.
 
-    All decorated functions share one memo keyed by p, then by (fn, the
-    arguments).  The prime of the latest call is the prime in use, whose
-    tables are always kept, however large.  Tables of other primes are kept
-    while their total size is at most PRIME_CACHE_BYTES; past it, whole
-    primes are dropped, least recently used first.  The bound is in bytes
-    because a table's size grows with p: an entry count would keep more
-    memory the larger the primes get.  An array counts its nbytes, a
-    ModPoly its coefficients' nbytes, any other value SMALL_VALUE_BYTES.
-    A call that raises caches nothing.  As with lru_cache, the wrapper has
-    cache_info(), counting this function's hits and misses and its entries
-    in currsize (maxsize is None), and cache_clear(), which removes this
-    function's entries and counts only.
+    All decorated functions share one memo of the prime in use, the prime
+    of the latest call, keyed by (fn, the arguments); its tables are kept
+    however large.  A call at another prime starts it afresh, so a call
+    that returns to an earlier prime recomputes.  The earlier primes'
+    tables stay as heap ballast, never read, while together they hold at
+    most PRIME_CACHE_BYTES; past it, the oldest primes are dropped whole.  The
+    bound is in bytes because a table's size grows with p: an array counts
+    its nbytes, a ModPoly its coefficients' nbytes, any other value
+    SMALL_VALUE_BYTES.  A call that raises caches nothing.  As with
+    lru_cache, the wrapper has cache_info(), counting this function's hits
+    and misses and its entries at the prime in use in currsize (maxsize is
+    None), and cache_clear(), which removes those entries and the counts.
     """
     hits = misses = 0
 
@@ -280,16 +253,18 @@ def per_prime_cache(fn: Callable) -> Callable:
         value = fn(*args)
         if p != tables.current:
             tables.enter(p)
-        tables.store(key, value)
+        tables.entries[key] = value
         return value
 
     def cache_info() -> CacheInfo:
-        return CacheInfo(hits, misses, None, len(_TABLES.keys_of(fn)))
+        return CacheInfo(hits, misses, None, sum(key[0] is fn for key in _TABLES.entries))
 
     def cache_clear() -> None:
         nonlocal hits, misses
         hits = misses = 0
-        _TABLES.drop(fn)
+        entries = _TABLES.entries
+        for key in [key for key in entries if key[0] is fn]:
+            del entries[key]
 
     wrapper.cache_info = cache_info
     wrapper.cache_clear = cache_clear

@@ -1,5 +1,6 @@
 """Shared index generators for the test grids, reference evaluators, and the environment of CLI subprocesses."""
 
+import math
 import os
 from itertools import product
 
@@ -7,7 +8,8 @@ import numpy as np
 
 import fmpl
 from fmpl.evaluate import eval_fmp, eval_zeta
-from fmpl.modular import ModPoly, ensure_prime
+from fmpl.identities import CheckResult
+from fmpl.modular import ModPoly, ensure_prime, mod_inverse
 from fmpl.words import EMPTY, FormalSum, Index, shuffle
 
 I = Index.of
@@ -79,6 +81,33 @@ def eval_expression_per_term(expr, p):
         window += coeffs * scalar
         window %= p
     return ModPoly(p, out)
+
+
+def pfd_exhaustive(alpha, beta, p, comb=math.comb):
+    """The reference for identities.pfd_check: the decomposition at every (X, Y) in F_p^x x F_p^x.
+
+    One literal double loop with pow per pair, O((alpha + beta) p^2); comb
+    gives the binomials, so a test can hand both checks the same wrong one.
+    """
+    ensure_prime(p)
+    ca = [comb(alpha - 1 + t, t) % p for t in range(beta)]
+    cb = [comb(beta - 1 + t, t) % p for t in range(alpha)]
+    for x in range(1, p):
+        ix = mod_inverse(x, p)
+        for y in range(1, p):
+            z = (x + y) % p
+            if z == 0:
+                continue
+            iy, iz = mod_inverse(y, p), mod_inverse(z, p)
+            lhs = pow(ix, alpha, p) * pow(iy, beta, p) % p
+            rhs = 0
+            for t in range(beta):
+                rhs += ca[t] * pow(iz, alpha + t, p) % p * pow(iy, beta - t, p) % p
+            for t in range(alpha):
+                rhs += cb[t] * pow(iz, beta + t, p) % p * pow(ix, alpha - t, p) % p
+            if lhs != rhs % p:
+                return CheckResult(False, f"X={x} Y={y}: lhs={lhs} rhs={rhs % p}")
+    return CheckResult(True)
 
 
 def reversed_image(fs):

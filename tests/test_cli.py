@@ -294,9 +294,22 @@ def test_verify_main_leaves_numpy_ma_unimported():
     assert proc.stdout.split() == ["0", "False", "False"]
 
 
-# pfd at p near 1600 is a pure-Python double loop of about 4 s a prime, so this
-# sweep takes minutes at one worker and most of a minute at two
-SLOW_SWEEP = ["verify", "pfd", "--alpha", "1", "--beta", "1", "--primes", "1500..1700"]
+# the bijection check visits all (p - 1)^r tuples in Python, about 4 * 10^9 at
+# r = 3 and p near 1600, so this sweep runs far longer than any test waits
+SLOW_SWEEP = ["verify", "bijection", "-r", "3", "--primes", "1500..1700"]
+
+
+def test_pfd_sweep_checks_one_row_a_prime():
+    # the exhaustive double loop took about a minute here at two workers
+    proc = subprocess.run(
+        [sys.executable, "-m", "fmpl.cli", "verify", "pfd", "--alpha", "1", "--beta", "1", "--primes", "1500..1700", "--jobs", "2"],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"pass={len(primes_in_range(1500, 1700))} fail=0" in proc.stdout
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])

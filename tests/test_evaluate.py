@@ -19,7 +19,6 @@ from fmpl.evaluate import (
     eval_zeta_variant,
     walk,
     zeta_sums,
-    zeta_values,
 )
 from fmpl.modular import ModPoly, inverse_table
 from fmpl.words import EMPTY, Index, concat
@@ -85,7 +84,7 @@ def test_prefix_tables_match_single_index_tables(p):
     for k, table in walked.items():
         assert np.array_equal(zeta[k], table[:p]), (k, p)
         assert np.array_equal(zeta[k], PartialSumTable.of(k, p, p).values), (k, p)
-    values = zeta_values(given_order, p)
+    values = dict(zip(trie.indices, zeta_sums(trie, p).tolist()))
     for k in pool:
         if k.depth == 0:
             assert values[k] == 1
@@ -165,7 +164,7 @@ def test_single_index_tables_are_counted_once_in_the_memo(monkeypatch):
     f = eval_fmp(k, p)
     for i in range(1, k.depth + 1):
         eval_zeta_variant(i, k, p)
-    tables = modular._TABLES.by_prime[p]
+    tables = modular._TABLES.entries
     assert {key[0].__name__ for key in tables} == {"inverse_table", "_inv_power_table", "eval_fmp"}
     # inv^1 is the inverse table itself, held and counted once
     assert evaluate._inv_powers(1, p) is inverse_table(p)
@@ -174,14 +173,14 @@ def test_single_index_tables_are_counted_once_in_the_memo(monkeypatch):
     assert len({id(v) for v in arrays}) == len(arrays)
     inverse = sum(v.nbytes for key, v in tables.items() if key[0].__name__ != "eval_fmp")
     assert inverse == 3 * 8 * p
-    assert modular._TABLES.nbytes[p] == inverse + f.coeffs.nbytes
+    assert sum(map(modular._value_nbytes, tables.values())) == inverse + f.coeffs.nbytes
     assert f.coeffs.nbytes == 8 * (k.depth * (p - 1) + 1)
     # a depth-1 polynomial copies its table, which is a cached inverse power
     g = eval_fmp(I(3), p)
     assert not np.shares_memory(g.coeffs, evaluate._inv_powers(3, p))
     arrays = [v.coeffs if isinstance(v, ModPoly) else v for v in tables.values()]
     assert len({id(v) for v in arrays}) == len(arrays)
-    assert modular._TABLES.nbytes[p] == inverse + f.coeffs.nbytes + g.coeffs.nbytes
+    assert sum(map(modular._value_nbytes, tables.values())) == inverse + f.coeffs.nbytes + g.coeffs.nbytes
 
 
 def test_eval_zeta_tables_stay_at_length_p(monkeypatch):

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import eval_expression_per_term, index_pairs_up_to, indices_up_to, reversed_shuffle
+from helpers import eval_expression_per_term, index_pairs_up_to, indices_up_to, pfd_exhaustive, reversed_shuffle
+from fmpl import identities, modular
 from fmpl.evaluate import eval_fmp, eval_zeta
 from fmpl.identities import (
     CorrectionExpression,
@@ -361,6 +364,46 @@ def test_pfd_hand_case():
     assert pfd_check(2, 3, 101).ok
     with pytest.raises(ValueError):
         pfd_check(0, 1, 5)
+
+
+def test_pfd_row_agrees_with_the_exhaustive_check():
+    for p in primes_in_range(2, 63):
+        for alpha, beta in product((1, 2, 3, 5), (1, 2, 4)):
+            assert pfd_check(alpha, beta, p) == pfd_exhaustive(alpha, beta, p), (alpha, beta, p)
+
+
+def _wrong_binomial(n, k):
+    return math.comb(n + 1, k)
+
+
+def _zero_at_tau_one(n, k):
+    return 0 if k == 1 else math.comb(n, k)
+
+
+@pytest.mark.parametrize("mutant", [_wrong_binomial, _zero_at_tau_one])
+def test_pfd_row_fails_a_wrong_coefficient(monkeypatch, mutant):
+    monkeypatch.setattr(identities, "comb", mutant)
+    for p in primes_in_range(5, 199):
+        result = pfd_check(2, 2, p)
+        assert not result.ok and result.detail.startswith("X=1 Y="), p
+    # where a wrong coefficient vanishes mod p, both checks pass alike
+    for p in primes_in_range(2, 31):
+        for alpha, beta in product((1, 2, 3), (1, 2, 4)):
+            assert pfd_check(alpha, beta, p).ok == pfd_exhaustive(alpha, beta, p, mutant).ok, (alpha, beta, p)
+
+
+def test_pfd_row_memory_does_not_grow_with_the_exponents(monkeypatch):
+    # the powers are stepped one factor per tau: a few rows of p entries,
+    # where one table per exponent would take alpha + beta = 500 of them
+    monkeypatch.setattr(modular, "_TABLES", modular._PrimeTables())
+    p = 10007
+    tracemalloc.start()
+    try:
+        assert pfd_check(200, 300, p).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * p
 
 
 def test_verify_eq7_requires_nonempty_blocks():

@@ -507,45 +507,62 @@ def _other(n, p):
     return n
 
 
+def _retired_primes(memo):
+    """The primes whose tables the memo keeps as ballast, oldest first."""
+    return [next(iter(entries))[1][-1] for _, entries in memo.retired]
+
+
 def test_prime_in_use_is_kept_whatever_its_size(memo, monkeypatch):
     monkeypatch.setattr(modular, "PRIME_CACHE_BYTES", 8000)
-    _table("array", 1000, 5)  # 8,000 bytes: 5 stays when 7 is in use
-    _table("int", 0, 7)
-    _table("poly", 2000, 5)  # 5 is in use again and now holds 24,000 bytes
-    assert list(memo.by_prime) == [7, 5] and memo.nbytes == {7: modular.SMALL_VALUE_BYTES, 5: 24000}
+    _table("array", 1000, 5)  # 8,000 bytes
+    _table("poly", 2000, 5)  # 16,000 more: 5 is in use and holds 24,000 bytes
+    assert memo.current == 5 and sum(map(modular._value_nbytes, memo.entries.values())) == 24000
     hits = _table.cache_info().hits
     assert _table("array", 1000, 5) is _table("array", 1000, 5)
     assert _table("poly", 2000, 5) is _table("poly", 2000, 5)
     assert _table.cache_info().hits == hits + 4
-    _table("int", 0, 7)  # 7 is in use; 5's tables pass the bound and go
-    assert list(memo.by_prime) == [7]
+    _table("int", 0, 7)  # 7 is in use; 5's tables are retired, pass the bound and go
+    assert memo.current == 7 and not memo.retired and memo.retired_bytes == 0
 
 
-def test_other_primes_are_dropped_whole_least_recently_used_first(memo, monkeypatch):
+def test_retired_primes_are_dropped_whole_oldest_first_past_the_bound(memo, monkeypatch):
     monkeypatch.setattr(modular, "PRIME_CACHE_BYTES", 2 * 800)
     for p in (2, 3, 5):
         _table("array", 50, p)  # two tables of 400 bytes at each prime
         _table("poly", 50, p)
-    assert list(memo.by_prime) == [2, 3, 5]
-    _table("array", 50, 2)  # a hit makes 2 the prime in use and the most recent
-    assert list(memo.by_prime) == [3, 5, 2]
-    _table("array", 50, 7)  # 3, 5 and 2 hold 2,400 bytes: 3 goes, both its tables
-    assert list(memo.by_prime) == [5, 2, 7]
-    assert memo.nbytes == {5: 800, 2: 800, 7: 400} and memo.total == 2000
-    misses = _table.cache_info().misses
-    _table("poly", 50, 3)
-    assert _table.cache_info().misses == misses + 1
+    assert _retired_primes(memo) == [2, 3] and memo.retired_bytes == 1600
+    _table("array", 50, 2)  # 2 starts afresh; 2, 3 and 5 would hold 2,400 bytes: 2 goes, both its tables
+    assert _retired_primes(memo) == [3, 5] and [nbytes for nbytes, _ in memo.retired] == [800, 800]
+    _table("array", 50, 7)  # 2 is retired with its one table: 3 goes
+    assert _retired_primes(memo) == [5, 2] and [nbytes for nbytes, _ in memo.retired] == [800, 400]
+    assert memo.retired_bytes == 1200 and list(memo.entries) == [(_table.__wrapped__, ("array", 50, 7))]
+
+
+def test_a_return_to_an_earlier_prime_recomputes(memo):
+    _table.cache_clear()
+    first = _table("array", 10, 5)
+    _table("array", 10, 7)
+    again = _table("array", 10, 5)
+    assert _table.cache_info() == modular.CacheInfo(0, 3, None, 1)
+    assert again is not first and np.array_equal(again, first)
+    k = I(2, 1)
+    f = eval_fmp(k, 101)
+    eval_fmp(k, 103)
+    misses = eval_fmp.cache_info().misses
+    assert eval_fmp(k, 101) == f
+    assert eval_fmp.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize("kind, size", [("array", 80), ("poly", 80), ("int", modular.SMALL_VALUE_BYTES)])
 def test_entries_are_sized_in_bytes(monkeypatch, kind, size):
-    # a prime not in use is kept at a bound of its size, dropped one byte below
-    for bound, kept in ((size, [5, 7]), (size - 1, [7])):
+    # a retired prime is kept at a bound of its size, dropped one byte below
+    for bound, kept in ((size, [5]), (size - 1, [])):
         monkeypatch.setattr(modular, "_TABLES", modular._PrimeTables())
         monkeypatch.setattr(modular, "PRIME_CACHE_BYTES", bound)
-        _table(kind, 10, 5)
+        assert modular._value_nbytes(_table(kind, 10, 5)) == size
         _other(0, 7)
-        assert list(modular._TABLES.by_prime) == kept
+        assert _retired_primes(modular._TABLES) == kept
+        assert [nbytes for nbytes, _ in modular._TABLES.retired] == [size] * len(kept)
 
 
 def test_cache_info_and_cache_clear_are_per_function(memo):
@@ -553,16 +570,19 @@ def test_cache_info_and_cache_clear_are_per_function(memo):
     _other.cache_clear()
     _table("int", 3, 5)
     _table("int", 3, 5)
-    _table("int", 3, 7)
     _other(1, 5)
-    assert _table.cache_info() == modular.CacheInfo(1, 2, None, 2)
+    assert _table.cache_info() == modular.CacheInfo(1, 1, None, 1)
     assert _other.cache_info() == modular.CacheInfo(0, 1, None, 1)
+    _table("int", 3, 7)  # currsize counts the entries at the prime in use only
+    assert _table.cache_info() == modular.CacheInfo(1, 2, None, 1)
+    assert _other.cache_info() == modular.CacheInfo(0, 1, None, 0)
+    _other(1, 7)
     _table.cache_clear()
     assert _table.cache_info() == modular.CacheInfo(0, 0, None, 0)
-    assert _other.cache_info() == modular.CacheInfo(0, 1, None, 1)
-    assert memo.nbytes == {5: modular.SMALL_VALUE_BYTES} and list(memo.by_prime) == [5]
-    _other(1, 5)
-    assert _other.cache_info() == modular.CacheInfo(1, 1, None, 1)
+    assert _other.cache_info() == modular.CacheInfo(0, 2, None, 1)
+    assert list(memo.entries) == [(_other.__wrapped__, (1, 7))]
+    _other(1, 7)
+    assert _other.cache_info() == modular.CacheInfo(1, 2, None, 1)
 
 
 def test_composite_modulus_raises_on_every_call(memo):
@@ -574,7 +594,7 @@ def test_composite_modulus_raises_on_every_call(memo):
                 eval_zeta(I(2), n)
             with pytest.raises(ValueError, match="not a prime"):
                 eval_fmp_triple(I(1), I(2), I(1), n)
-    assert memo.total == 0 and not memo.by_prime
+    assert not memo.entries and not memo.retired and memo.retired_bytes == 0
 
 
 def _values_and_sweeps(primes):
