@@ -39,11 +39,9 @@ length: zeta's tables are cut at p.
 
 The per-prime tables (inverse powers, and the values of eval_zeta,
 eval_fmp and eval_fmp_triple) are memoized by modular.per_prime_cache,
-with p as the last argument: calls read the tables of the prime in use
-only, and the tables of earlier primes stay, unread, as heap ballast of at
-most modular.PRIME_CACHE_BYTES, so a sweep over a wide range holds a
-bounded amount of memory.  The sizes are counted in bytes, not entries,
-because each table grows with p.
+with p as the last argument.  The memo keeps the tables of the prime in
+use only, and the next prime's tables reuse the heap they leave (see
+modular), so a sweep over a wide range holds one prime's tables.
 A single index's final stage table is kept once, as eval_fmp's
 coefficients, which the variants and the three-block weights read too.
 eval_fmp and eval_fmp_triple hand their final tables, already in [0, p),

@@ -451,6 +451,27 @@ def _scalar_diff(lhs: int, rhs: int) -> CheckResult:
     return CheckResult(False, f"lhs={lhs} rhs={rhs}")
 
 
+def _binomials_mod(n: int, count: int, p: int) -> list[int]:
+    """C(n + t, t) mod p for 0 <= t < count (count >= 1), stepped by C(n + t - 1, t - 1) (n + t) / t.
+
+    The power of p that divides the binomial is kept apart from its unit part
+    mod p, so each division is by a unit and a coefficient is 0 while that
+    power is positive; the exact binomials grow with t.
+    """
+    row, unit, power = [1], 1, 0
+    for t in range(1, count):
+        num, den = n + t, t
+        while num % p == 0:
+            num //= p
+            power += 1
+        while den % p == 0:
+            den //= p
+            power -= 1
+        unit = unit * num * pow(den, -1, p) % p
+        row.append(0 if power else unit)
+    return row
+
+
 def pfd_check(alpha: int, beta: int, p: int) -> CheckResult:
     """Verify the two-variable partial fraction decomposition on F_p^x x F_p^x.
 
@@ -469,15 +490,13 @@ def pfd_check(alpha: int, beta: int, p: int) -> CheckResult:
     ensure_prime(p)
     if alpha < 1 or beta < 1:
         raise ValueError("exponents must be positive")
-    ca = [comb(alpha - 1 + t, t) % p for t in range(beta)]
-    cb = [comb(beta - 1 + t, t) % p for t in range(alpha)]
     y = np.arange(1, p - 1, dtype=np.int64)
     inv_z = inverse_table(p)[2:]
     lhs = _inv_powers(beta, p)[1 : p - 1]
     rhs = np.zeros(p - 2, dtype=np.int64)
     for coefs, z_power, y_power in (
-        (ca, _inv_powers(alpha, p)[2:].copy(), lhs.copy()),
-        (cb, _inv_powers(beta, p)[2:].copy(), None),
+        (_binomials_mod(alpha - 1, beta, p), _inv_powers(alpha, p)[2:].copy(), lhs.copy()),
+        (_binomials_mod(beta - 1, alpha, p), _inv_powers(beta, p)[2:].copy(), None),
     ):
         for c in coefs:
             term = z_power if y_power is None else reduce_mod(z_power * y_power, p)
@@ -509,12 +528,10 @@ def verify_eq7(lam: Index, mu: Index, nu: Index, p: int) -> CheckResult:
     a, b = lam.depth, mu.depth
     la, mb = lam[-1], mu[-1]
     terms: list[tuple[int, int, np.ndarray]] = []
-    for tau in range(mb):
-        c = comb(la - 1 + tau, tau) % p
+    for tau, c in enumerate(_binomials_mod(la - 1, mb, p)):
         sub = eval_fmp_triple(lam.head(), Index(mu[:-1] + (mb - tau,)), Index((la + tau,) + nu), p)
         terms.append((c, 0, sub.coeffs))
-    for tau in range(la):
-        c = comb(mb - 1 + tau, tau) % p
+    for tau, c in enumerate(_binomials_mod(mb - 1, la, p)):
         sub = eval_fmp_triple(Index(lam[:-1] + (la - tau,)), mu.head(), Index((mb + tau,) + nu), p)
         terms.append((c, 0, sub.coeffs))
     sign = p - 1 if mu.weight % 2 else 1

@@ -32,17 +32,19 @@ is the same as ``x % p`` on either sign.
 
 Tables that depend on a prime (the inverse table here, and evaluate's
 inverse-power and polynomial tables) are memoized by `per_prime_cache`,
-which reads the tables of the prime in use only.  A sweep visits each
-prime once, so a call that returns to an earlier prime recomputes.  The
-earlier primes' tables are kept, never read again, while together they
-hold at most PRIME_CACHE_BYTES, oldest dropped first: they keep the heap
-warm for the next prime's tables of the same sizes.  The bound is in bytes
-because a table's size grows with p.
+which keeps the tables of the prime in use only.  Each prime frees the
+previous prime's tables and builds tables of about the same sizes.  Left
+to its dynamic thresholds, glibc's malloc would trim the freed heap top
+and mmap the larger tables afresh: on a 2-core x86-64 machine with glibc
+2.36, `run_sweep("main", (2,1) x (3), 5..3000, jobs=1)` took 22,140 minor
+page faults.  So importing this module fixes M_MMAP_THRESHOLD at 32 MiB
+and M_TRIM_THRESHOLD at 64 MiB, and that sweep takes about 270.
 """
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+import ctypes
+from collections import namedtuple
 from functools import lru_cache, wraps
 from itertools import compress
 from math import isqrt
@@ -171,48 +173,29 @@ def _power_table(t: int, n: int, p: int) -> np.ndarray:
     return reduce_mod(np.array(high, dtype=np.int64)[:, None] * np.array(low[:m], dtype=np.int64), p).ravel()[:n]
 
 
-# Bytes that the tables of earlier primes may hold together before the
-# oldest are dropped.  Nothing reads them again: no shipped check returns to
-# an earlier prime, and the bytes keep the heap warm.  Keeping only the prime
-# in use took `verify prop24 -i 2 -k 1,2,1 --primes 5..15000 --jobs 1` from
-# 1.6 to 1.9 s in process, with 15x the minor page faults.
-PRIME_CACHE_BYTES = 8 << 20
-# What a cached value that is neither an array nor a ModPoly counts for.
-SMALL_VALUE_BYTES = 64
+# See the module docstring.  Setting either threshold turns glibc's dynamic
+# rule off, so both are set, to the values that rule reaches on 64-bit.
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):  # not glibc, or no C library to load
+    pass
+else:
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, twice the mmap threshold
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
-def _value_nbytes(value) -> int:
-    if isinstance(value, np.ndarray):
-        return value.nbytes
-    if isinstance(value, ModPoly):
-        return value.coeffs.nbytes
-    return SMALL_VALUE_BYTES
-
-
 class _PrimeTables:
-    """The memo behind per_prime_cache.
-
-    ``entries`` maps (function, args) to the value at ``current``, the
-    prime in use.  ``retired`` holds (bytes, entries) of earlier primes,
-    oldest first, ``retired_bytes`` their total; nothing reads them.
-    """
+    """The memo behind per_prime_cache: ``entries`` maps (function, args) to the value at ``current``."""
 
     def __init__(self):
         self.current = None
         self.entries: dict = {}
-        self.retired: deque[tuple[int, dict]] = deque()
-        self.retired_bytes = 0
 
     def enter(self, p: int) -> None:
-        """Make p the prime in use, with no entries, and drop the oldest retired primes past the bound."""
-        if self.entries:
-            size = sum(map(_value_nbytes, self.entries.values()))
-            self.retired.append((size, self.entries))
-            self.retired_bytes += size
-        while self.retired_bytes > PRIME_CACHE_BYTES:
-            self.retired_bytes -= self.retired.popleft()[0]
+        """Make p the prime in use, with no entries."""
         self.current = p
         self.entries = {}
 
@@ -224,18 +207,13 @@ _MISSING = object()
 def per_prime_cache(fn: Callable) -> Callable:
     """Memoize fn, whose last positional argument is the prime p, in the per-prime memo.
 
-    All decorated functions share one memo of the prime in use, the prime
-    of the latest call, keyed by (fn, the arguments); its tables are kept
-    however large.  A call at another prime starts it afresh, so a call
-    that returns to an earlier prime recomputes.  The earlier primes'
-    tables stay as heap ballast, never read, while together they hold at
-    most PRIME_CACHE_BYTES; past it, the oldest primes are dropped whole.  The
-    bound is in bytes because a table's size grows with p: an array counts
-    its nbytes, a ModPoly its coefficients' nbytes, any other value
-    SMALL_VALUE_BYTES.  A call that raises caches nothing.  As with
-    lru_cache, the wrapper has cache_info(), counting this function's hits
-    and misses and its entries at the prime in use in currsize (maxsize is
-    None), and cache_clear(), which removes those entries and the counts.
+    All decorated functions share one memo of the prime in use, the prime of
+    the latest call, keyed by (fn, the arguments); its tables are kept however
+    large.  A call at another prime frees them and starts afresh: a return to
+    an earlier prime recomputes.  A call that raises caches nothing.  As with
+    lru_cache, the wrapper has cache_info(), counting this function's hits and
+    misses and its entries at the prime in use in currsize (maxsize is None),
+    and cache_clear(), which removes those entries and the counts.
     """
     hits = misses = 0
 

@@ -20,7 +20,6 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -221,7 +220,13 @@ def _run_chunk(check: str, params: dict, primes: list[int]) -> list[PrimeOutcome
     return [run_one(check, params, p) for p in primes]
 
 
-def _stop_workers(pool: ProcessPoolExecutor) -> None:
+def ProcessPoolExecutor(max_workers: int):
+    """A process pool, imported only for a pooled sweep (multiprocessing costs 1.3 MiB); tests replace it."""
+    from concurrent import futures
+    return futures.ProcessPoolExecutor(max_workers=max_workers)
+
+
+def _stop_workers(pool) -> None:
     """Cancel the queued chunks and end the workers now, with the chunks they hold.
 
     Before Python 3.14 (``terminate_workers``) an executor cannot do this
@@ -275,6 +280,7 @@ def run_sweep(
             for p in primes:
                 outcomes[p] = run_one(check, params, p)
         else:
+            from concurrent.futures import as_completed
             largest_first = primes[::-1]
             n_chunks = min(len(primes), CHUNKS_PER_WORKER * workers)
             with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -294,6 +294,20 @@ def test_verify_main_leaves_numpy_ma_unimported():
     assert proc.stdout.split() == ["0", "False", "False"]
 
 
+def test_sweep_at_one_worker_leaves_the_process_pool_unimported():
+    # the pool's import loads multiprocessing, about 1.3 MiB of RSS in every process
+    script = (
+        "import contextlib, io, sys\n"
+        "from fmpl.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', 'eq7', '-L', '1,1', '-M', '2', '-N', '1', '--primes', '2000..2030', '--jobs', '1'])\n"
+        "print(code, 'concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "False"]
+
+
 # the bijection check visits all (p - 1)^r tuples in Python, about 4 * 10^9 at
 # r = 3 and p near 1600, so this sweep runs far longer than any test waits
 SLOW_SWEEP = ["verify", "bijection", "-r", "3", "--primes", "1500..1700"]

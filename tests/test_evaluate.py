@@ -173,14 +173,14 @@ def test_single_index_tables_are_counted_once_in_the_memo(monkeypatch):
     assert len({id(v) for v in arrays}) == len(arrays)
     inverse = sum(v.nbytes for key, v in tables.items() if key[0].__name__ != "eval_fmp")
     assert inverse == 3 * 8 * p
-    assert sum(map(modular._value_nbytes, tables.values())) == inverse + f.coeffs.nbytes
+    assert sum(v.nbytes for v in arrays) == inverse + f.coeffs.nbytes
     assert f.coeffs.nbytes == 8 * (k.depth * (p - 1) + 1)
     # a depth-1 polynomial copies its table, which is a cached inverse power
     g = eval_fmp(I(3), p)
     assert not np.shares_memory(g.coeffs, evaluate._inv_powers(3, p))
     arrays = [v.coeffs if isinstance(v, ModPoly) else v for v in tables.values()]
     assert len({id(v) for v in arrays}) == len(arrays)
-    assert sum(map(modular._value_nbytes, tables.values())) == inverse + f.coeffs.nbytes + g.coeffs.nbytes
+    assert sum(v.nbytes for v in arrays) == inverse + f.coeffs.nbytes + g.coeffs.nbytes
 
 
 def test_eval_zeta_tables_stay_at_length_p(monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import pickle
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -382,7 +383,7 @@ def _zero_at_tau_one(n, k):
 
 @pytest.mark.parametrize("mutant", [_wrong_binomial, _zero_at_tau_one])
 def test_pfd_row_fails_a_wrong_coefficient(monkeypatch, mutant):
-    monkeypatch.setattr(identities, "comb", mutant)
+    monkeypatch.setattr(identities, "_binomials_mod", lambda n, count, p: [mutant(n + t, t) % p for t in range(count)])
     for p in primes_in_range(5, 199):
         result = pfd_check(2, 2, p)
         assert not result.ok and result.detail.startswith("X=1 Y="), p
@@ -390,6 +391,19 @@ def test_pfd_row_fails_a_wrong_coefficient(monkeypatch, mutant):
     for p in primes_in_range(2, 31):
         for alpha, beta in product((1, 2, 3), (1, 2, 4)):
             assert pfd_check(alpha, beta, p).ok == pfd_exhaustive(alpha, beta, p, mutant).ok, (alpha, beta, p)
+
+
+def test_pfd_binomials_are_stepped_mod_p():
+    for p in (2, 3, 5, 7, 11, 13, 101):
+        for alpha in range(1, 40):
+            assert identities._binomials_mod(alpha - 1, 60, p) == [math.comb(alpha - 1 + t, t) % p for t in range(60)], (alpha, p)
+
+
+def test_pfd_large_exponents_take_no_exact_binomials():
+    # the exact binomials of 20,000 coefficients took 86 s
+    start = time.perf_counter()
+    assert pfd_check(10000, 10000, 5).ok
+    assert time.perf_counter() - start < 1
 
 
 def test_pfd_row_memory_does_not_grow_with_the_exponents(monkeypatch):

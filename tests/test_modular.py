@@ -1,3 +1,4 @@
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -507,35 +508,23 @@ def _other(n, p):
     return n
 
 
-def _retired_primes(memo):
-    """The primes whose tables the memo keeps as ballast, oldest first."""
-    return [next(iter(entries))[1][-1] for _, entries in memo.retired]
-
-
-def test_prime_in_use_is_kept_whatever_its_size(memo, monkeypatch):
-    monkeypatch.setattr(modular, "PRIME_CACHE_BYTES", 8000)
+def test_prime_in_use_is_kept_whatever_its_size(memo):
     _table("array", 1000, 5)  # 8,000 bytes
-    _table("poly", 2000, 5)  # 16,000 more: 5 is in use and holds 24,000 bytes
-    assert memo.current == 5 and sum(map(modular._value_nbytes, memo.entries.values())) == 24000
+    _table("poly", 2000, 5)  # 16,000 more
+    assert memo.current == 5 and len(memo.entries) == 2
     hits = _table.cache_info().hits
     assert _table("array", 1000, 5) is _table("array", 1000, 5)
     assert _table("poly", 2000, 5) is _table("poly", 2000, 5)
     assert _table.cache_info().hits == hits + 4
-    _table("int", 0, 7)  # 7 is in use; 5's tables are retired, pass the bound and go
-    assert memo.current == 7 and not memo.retired and memo.retired_bytes == 0
 
 
-def test_retired_primes_are_dropped_whole_oldest_first_past_the_bound(memo, monkeypatch):
-    monkeypatch.setattr(modular, "PRIME_CACHE_BYTES", 2 * 800)
-    for p in (2, 3, 5):
-        _table("array", 50, p)  # two tables of 400 bytes at each prime
-        _table("poly", 50, p)
-    assert _retired_primes(memo) == [2, 3] and memo.retired_bytes == 1600
-    _table("array", 50, 2)  # 2 starts afresh; 2, 3 and 5 would hold 2,400 bytes: 2 goes, both its tables
-    assert _retired_primes(memo) == [3, 5] and [nbytes for nbytes, _ in memo.retired] == [800, 800]
-    _table("array", 50, 7)  # 2 is retired with its one table: 3 goes
-    assert _retired_primes(memo) == [5, 2] and [nbytes for nbytes, _ in memo.retired] == [800, 400]
-    assert memo.retired_bytes == 1200 and list(memo.entries) == [(_table.__wrapped__, ("array", 50, 7))]
+def test_entering_a_prime_drops_the_previous_primes_tables(memo):
+    table = _table("array", 1000, 5)
+    held = weakref.ref(table)
+    del table
+    _table("int", 0, 7)
+    assert memo.current == 7 and list(memo.entries) == [(_table.__wrapped__, ("int", 0, 7))]
+    assert held() is None  # nothing else keeps 5's array: it is freed
 
 
 def test_a_return_to_an_earlier_prime_recomputes(memo):
@@ -551,18 +540,6 @@ def test_a_return_to_an_earlier_prime_recomputes(memo):
     misses = eval_fmp.cache_info().misses
     assert eval_fmp(k, 101) == f
     assert eval_fmp.cache_info().misses == misses + 1
-
-
-@pytest.mark.parametrize("kind, size", [("array", 80), ("poly", 80), ("int", modular.SMALL_VALUE_BYTES)])
-def test_entries_are_sized_in_bytes(monkeypatch, kind, size):
-    # a retired prime is kept at a bound of its size, dropped one byte below
-    for bound, kept in ((size, [5]), (size - 1, [])):
-        monkeypatch.setattr(modular, "_TABLES", modular._PrimeTables())
-        monkeypatch.setattr(modular, "PRIME_CACHE_BYTES", bound)
-        assert modular._value_nbytes(_table(kind, 10, 5)) == size
-        _other(0, 7)
-        assert _retired_primes(modular._TABLES) == kept
-        assert [nbytes for nbytes, _ in modular._TABLES.retired] == [size] * len(kept)
 
 
 def test_cache_info_and_cache_clear_are_per_function(memo):
@@ -594,7 +571,7 @@ def test_composite_modulus_raises_on_every_call(memo):
                 eval_zeta(I(2), n)
             with pytest.raises(ValueError, match="not a prime"):
                 eval_fmp_triple(I(1), I(2), I(1), n)
-    assert not memo.entries and not memo.retired and memo.retired_bytes == 0
+    assert not memo.entries
 
 
 def _values_and_sweeps(primes):
@@ -613,8 +590,23 @@ def _values_and_sweeps(primes):
     return values
 
 
-def test_values_do_not_depend_on_the_bound(monkeypatch):
+class _Forgetful(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
+class _Recomputing(modular._PrimeTables):
+    """A memo that stores nothing, so every call recomputes."""
+
+    def enter(self, p):
+        super().enter(p)
+        self.entries = _Forgetful()
+
+
+def test_values_do_not_depend_on_the_bound(memo, monkeypatch):
     primes = (5, 7, 11, 101, 1009, 7)
     cached = _values_and_sweeps(primes)
-    monkeypatch.setattr(modular, "PRIME_CACHE_BYTES", 0)
+    monkeypatch.setattr(modular, "_TABLES", _Recomputing())
+    hits = eval_fmp.cache_info().hits
     assert _values_and_sweeps(primes) == cached
+    assert eval_fmp.cache_info().hits == hits

@@ -5,17 +5,21 @@ import gc
 import io
 import json
 import multiprocessing
+import platform
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import Future, ProcessPoolExecutor
 
 import pytest
 
-from fmpl import modular, sweep
+from fmpl import sweep
 from fmpl.identities import CheckResult, verify_stuffle
 from fmpl.modular import primes_in_range
 from fmpl.surjections import MAX_R
 from fmpl.sweep import CHECKS, Check, PrimeOutcome, SweepReport, run_one, run_sweep
 from fmpl.words import EMPTY, Index
+from helpers import subprocess_env
 
 I = Index.of
 
@@ -297,8 +301,8 @@ def test_interrupted_pool_cancels_queued_chunks(monkeypatch):
 
 
 def test_long_sweep_holds_at_most_the_cache_bound():
-    # each prime's tables are dropped once the cached primes pass the bound,
-    # so what a sweep leaves behind does not grow with its prime range
+    # each prime's tables are dropped when the next prime starts, so what a
+    # sweep leaves behind is one prime's tables, whatever its prime range
     tracemalloc.start()
     try:
         report = run_sweep("prop24", {"i": 2, "k": I(1, 2, 1)}, 5, 3000, jobs=1)
@@ -307,4 +311,24 @@ def test_long_sweep_holds_at_most_the_cache_bound():
     finally:
         tracemalloc.stop()
     assert report.summary == {"pass": 428, "fail": 0, "skip": 0}
-    assert held < modular.PRIME_CACHE_BYTES + 2 * 2**20
+    assert held < 2 * 2**20
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="fmpl sets malloc's thresholds through glibc's mallopt only")
+def test_sweep_reuses_the_heap_across_primes():
+    # each prime frees its tables and the next builds tables of about the
+    # same sizes; left to glibc's dynamic thresholds, this sweep took about
+    # 22,000 minor page faults, with the thresholds that fmpl sets about 270
+    script = (
+        "import resource\n"
+        "import fmpl\n"
+        "from fmpl.sweep import run_sweep\n"
+        "from fmpl.words import Index\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "report = run_sweep('main', {'l': Index.of(2, 1), 'r': Index.of(3)}, 5, 3000, jobs=1)\n"
+        "print(report.summary['pass'], resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    passed, faults = map(int, proc.stdout.split())
+    assert passed == 428 and faults < 2000
