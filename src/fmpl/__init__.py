@@ -41,10 +41,9 @@ from .words import (
     word_to_index,
 )
 from .surjections import (
-    ResidueTuple,
-    Surjection,
     bijection_roundtrip,
     count_x_tuples,
+    descents,
     enumerate_phi,
     f_map,
     g_map,

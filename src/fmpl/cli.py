@@ -7,7 +7,7 @@ commands run over an inclusive prime range "a..b" (default 5..199,
 b < 2^31) and can write machine-readable JSON or CSV reports.  Exit
 status: 0 all primes pass (skips allowed), 1 any failure, 2 usage error
 (an --out path that cannot be written is one, found before any prime
-runs), 130 interrupted (the partial report is still written), 141 stdout
+runs, and so is an eval whose tables do not fit in memory), 130 interrupted (the partial report is still written), 141 stdout
 closed by its reader (128 + SIGPIPE).
 """
 
@@ -150,6 +150,8 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             return 0
     except ValueError as exc:
         parser.error(str(exc))
+    except MemoryError:
+        parser.error(f"not enough memory for the tables at p = {args.p}")
     if args.at is not None:
         print(value.evaluate(args.at))
     else:

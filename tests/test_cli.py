@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -75,6 +76,21 @@ def test_eval_rejects_composite_prime(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "fmp", "-k", "1", "-p", "6"])
     assert exc.value.code == 2
+
+
+def test_eval_out_of_memory_is_usage_error():
+    # the tables at p = 2^31 - 1 need a 16 GiB array; the child alone may map 3 GiB
+    limit = 3 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "fmpl.cli", "eval", "zeta", "-k", "1", "-p", "2147483647"],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "p = 2147483647" in proc.stderr
 
 
 def test_eval_rejects_malformed_index(capsys):

@@ -11,12 +11,13 @@ from helpers import (
     second_class_depth4,
     third_class_depth4,
 )
+from fmpl import cli, surjections
 from fmpl.surjections import (
     MAX_R,
-    ResidueTuple,
-    Surjection,
+    _admissible,
     bijection_roundtrip,
     count_x_tuples,
+    descents,
     enumerate_phi,
     f_map,
     g_map,
@@ -27,33 +28,39 @@ from fmpl.words import EMPTY, FormalSum, Index
 I = Index.of
 
 
-def test_surjection_validation():
-    phi = Surjection((2, 1, 2))
-    assert (phi.r, phi.s) == (3, 2)
-    assert phi.delta == (0, 1, 1)
-    assert phi.beta == 2
-    with pytest.raises(ValueError):
-        Surjection((1, 1))
-    with pytest.raises(ValueError):
-        Surjection((1, 3))  # not surjective onto [3]
-    with pytest.raises(ValueError):
-        Surjection(())
+def beta(phi):
+    """The class of a level map: its number of descents plus one."""
+    return descents(phi)[-1] + 1
+
+
+def test_g_map_rejects_bad_maps():
+    phi = (2, 1, 2)
+    assert (len(phi), max(phi)) == (3, 2)
+    assert descents(phi) == (0, 1, 1)
+    assert beta(phi) == 2
+    assert g_map(phi, (1, 3), 5) == (3, 3, 2)
+    with pytest.raises(ValueError, match="equal adjacent"):
+        g_map((1, 1), (2,), 5)
+    with pytest.raises(ValueError, match="not surjective"):
+        g_map((1, 3), (1, 2, 3), 5)  # not surjective onto [3]
+    with pytest.raises(ValueError, match="empty"):
+        g_map((), (), 5)
 
 
 def test_enumerate_phi_small():
     (only,) = enumerate_phi(1)
-    assert only.values == (1,) and only.beta == 1
+    assert only == (1,) and beta(only) == 1
 
     r2 = enumerate_phi(2)
-    assert [phi.values for phi in r2] == [(1, 2), (2, 1)]
-    assert [phi.beta for phi in r2] == [1, 2]
-    assert not [phi for phi in r2 if phi.s == 1]
+    assert list(r2) == [(1, 2), (2, 1)]
+    assert [beta(phi) for phi in r2] == [1, 2]
+    assert not [phi for phi in r2 if max(phi) == 1]
 
     r3 = enumerate_phi(3)
-    by_s = {s: [phi for phi in r3 if phi.s == s] for s in (1, 2, 3)}
+    by_s = {s: [phi for phi in r3 if max(phi) == s] for s in (1, 2, 3)}
     assert len(by_s[1]) == 0
-    assert sorted(phi.values for phi in by_s[2]) == [(1, 2, 1), (2, 1, 2)]
-    assert all(phi.beta == 2 for phi in by_s[2])
+    assert sorted(by_s[2]) == [(1, 2, 1), (2, 1, 2)]
+    assert all(beta(phi) == 2 for phi in by_s[2])
     assert len(by_s[3]) == 6
 
 
@@ -66,12 +73,12 @@ def test_enumerate_phi_matches_brute_force():
                     vals[i] != vals[i + 1] for i in range(r - 1)
                 ):
                     expected.add(vals)
-        assert {phi.values for phi in enumerate_phi(r)} == expected
+        assert set(enumerate_phi(r)) == expected
 
 
 def test_enumerate_phi_order_is_stable():
     phis = enumerate_phi(4)
-    keys = [(phi.s, phi.values) for phi in phis]
+    keys = [(max(phi), phi) for phi in phis]
     assert keys == sorted(keys)
 
 
@@ -85,20 +92,21 @@ def test_enumerate_phi_range_cap():
 def test_delta_invariants():
     for r in range(1, 6):
         for phi in enumerate_phi(r):
-            assert phi.delta[0] == 0
-            assert all(phi.delta[i] <= phi.delta[i + 1] for i in range(r - 1))
-            assert 1 <= phi.beta <= r
+            delta = descents(phi)
+            assert delta[0] == 0
+            assert all(delta[i] <= delta[i + 1] for i in range(r - 1))
+            assert 1 <= beta(phi) <= r
 
 
 def test_f_map_examples():
     phi, A = f_map((3,), 5)
-    assert phi.values == (1,) and A.values == (3,)
+    assert phi == (1,) and A == (3,)
 
     phi, A = f_map((3, 4), 5)
-    assert phi.values == (2, 1) and A.values == (2, 3)
+    assert phi == (2, 1) and A == (2, 3)
 
     phi, A = f_map((1, 2), 5)
-    assert phi.values == (1, 2) and A.values == (1, 3)
+    assert phi == (1, 2) and A == (1, 3)
 
 
 def test_f_map_rejects_divisible_partial_sums():
@@ -111,20 +119,20 @@ def test_f_map_rejects_divisible_partial_sums():
 
 
 def test_g_map_examples():
-    assert g_map(Surjection((1,)), ResidueTuple(5, (3,))) == (3,)
-    assert g_map(Surjection((2, 1)), ResidueTuple(5, (2, 3))) == (3, 4)
-    assert g_map(Surjection((1, 2)), ResidueTuple(5, (1, 3))) == (1, 2)
+    assert g_map((1,), (3,), 5) == (3,)
+    assert g_map((2, 1), (2, 3), 5) == (3, 4)
+    assert g_map((1, 2), (1, 3), 5) == (1, 2)
     with pytest.raises(ValueError, match="length"):
-        g_map(Surjection((1, 2)), ResidueTuple(5, (1,)))
+        g_map((1, 2), (1,), 5)
 
 
-def test_residue_tuple_validation():
-    with pytest.raises(ValueError):
-        ResidueTuple(5, (3, 2))
-    with pytest.raises(ValueError):
-        ResidueTuple(5, (0, 2))
-    with pytest.raises(ValueError):
-        ResidueTuple(5, (2, 5))
+def test_g_map_rejects_bad_residues():
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        g_map((1, 2), (3, 2), 5)
+    with pytest.raises(ValueError, match="out of range"):
+        g_map((1, 2), (0, 2), 5)
+    with pytest.raises(ValueError, match="out of range"):
+        g_map((1, 2), (2, 5), 5)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -132,6 +140,64 @@ def test_residue_tuple_validation():
 def test_bijection_roundtrip(r, p):
     ok, detail = bijection_roundtrip(r, p)
     assert ok, detail
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_admissible_tuples_are_the_filtered_product_in_order(p):
+    for r in range(1, 5):
+        literal = [x for x in product(range(1, p), repeat=r) if all(sum(x[:i]) % p for i in range(1, r + 1))]
+        assert list(_admissible(r, p)) == literal, (r, p)
+    if p == 2:  # (1, 1) sums to 2, so no tuple of length 2 or more is admissible
+        assert [list(_admissible(r, 2)) for r in (1, 2, 3)] == [[(1,)], [], []]
+
+
+def planted_after(n, good, bad):
+    """A stand-in that runs good for its first n calls and bad from then on."""
+    calls = []
+
+    def planted(*args):
+        calls.append(None)
+        return (good if len(calls) <= n else bad)(*args)
+
+    return planted
+
+
+def test_bijection_roundtrip_reports_a_wrong_inverse(monkeypatch):
+    g = surjections._g
+    monkeypatch.setattr(surjections, "_g", lambda phi, A, p, delta: g(phi, A, p, delta)[::-1])
+    ok, detail = bijection_roundtrip(3, 7)
+    assert not ok and detail == "g(f((1, 1, 2))) = (2, 1, 1)", detail  # (1, 1, 1) is its own reverse
+
+
+def test_bijection_roundtrip_reports_a_wrong_count(monkeypatch):
+    count = surjections.count_x_tuples
+    monkeypatch.setattr(surjections, "count_x_tuples", lambda r, p: count(r, p) + 1)
+    ok, detail = bijection_roundtrip(3, 7)
+    assert not ok and detail == f"|X_3| = {count(3, 7)}, classification predicts {count(3, 7) + 1}", detail
+
+
+def test_bijection_roundtrip_reports_a_wrong_forward_map(monkeypatch):
+    # f is right on every tuple (the forward pass), then wrong on g's outputs
+    f = surjections._f
+    wrong = lambda x, p: (f(x, p)[0][::-1], f(x, p)[1])
+    monkeypatch.setattr(surjections, "_f", planted_after(count_x_tuples(3, 7), f, wrong))
+    ok, detail = bijection_roundtrip(3, 7)
+    # (1, 2, 1) and (2, 1, 2), the maps onto [2], are their own reverses
+    assert not ok and detail == "f(g((1, 2, 3), (1, 2, 3))) = ((3, 2, 1), (1, 2, 3))", detail
+
+
+def test_bijection_roundtrip_reports_an_inverse_outside_the_cube(monkeypatch, capsys):
+    # adding p to each entry keeps every partial sum mod p, so only the range check sees it
+    g = surjections._g
+    shifted = lambda phi, A, p, delta: tuple(l + p for l in g(phi, A, p, delta))
+    for r, p in ((3, 7), (2, 5)):
+        monkeypatch.setattr(surjections, "_g", planted_after(count_x_tuples(r, p), g, shifted))
+        ok, detail = bijection_roundtrip(r, p)
+        assert not ok and detail.startswith("f(g(") and f"outside (0, {p})^{r}" in detail, detail
+    # the sweep reports it as a failed prime (exit 1), not as a traceback
+    monkeypatch.setattr(surjections, "_g", planted_after(count_x_tuples(2, 5), g, shifted))
+    assert cli.main(["verify", "bijection", "-r", "2", "--primes", "5..5", "--jobs", "1"]) == 1
+    assert "p=5: fail f(g(" in capsys.readouterr().err
 
 
 def test_count_x_tuples_direct():
@@ -142,31 +208,31 @@ def test_count_x_tuples_direct():
 def test_count_x_tuples_matches_the_enumerated_maps():
     # the inclusion-exclusion count against the maps that enumerate_phi builds
     for r in range(1, MAX_R + 1):
-        by_s = Counter(phi.s for phi in enumerate_phi(r))
+        by_s = Counter(max(phi) for phi in enumerate_phi(r))
         for p in (5, 7, 101):
             assert count_x_tuples(r, p) == sum(n * comb(p - 1, s) for s, n in by_s.items()), (r, p)
 
 
 def collapse(phi, k):
     """k summed along phi: part t is the sum of the parts k_j with phi(j) = t."""
-    parts = [0] * phi.s
-    for v, kj in zip(phi.values, k):
+    parts = [0] * max(phi)
+    for v, kj in zip(phi, k):
         parts[v - 1] += kj
     return Index(tuple(parts))
 
 
 def test_grouped_index():
-    assert collapse(Surjection((2, 1, 2)), I(1, 10, 100)) == I(10, 101)  # position 2 to 1, positions 1 and 3 to 2
-    phi = Surjection((1, 2, 1))
+    assert collapse((2, 1, 2), I(1, 10, 100)) == I(10, 101)  # position 2 to 1, positions 1 and 3 to 2
+    phi = (1, 2, 1)
     assert collapse(phi, I(1, 2, 4)) == I(5, 2)
     # the grouped index is one term of the variant expansion of phi's class
-    assert phi.beta == 2
-    assert dict(variant_expansion(phi.beta, I(1, 2, 4)))[I(5, 2)] == 1
+    assert beta(phi) == 2
+    assert dict(variant_expansion(beta(phi), I(1, 2, 4)))[I(5, 2)] == 1
 
 
 def test_beta_classes_partition():
     for r in range(1, 6):
-        classes = [[phi for phi in enumerate_phi(r) if phi.beta == i] for i in range(1, r + 1)]
+        classes = [[phi for phi in enumerate_phi(r) if beta(phi) == i] for i in range(1, r + 1)]
         assert sum(len(c) for c in classes) == len(enumerate_phi(r))
         k = Index((1,) * r)
         assert [sum(c for _, c in variant_expansion(i, k)) for i in range(1, r + 1)] == [len(c) for c in classes]
@@ -177,7 +243,7 @@ def test_variant_expansion_matches_the_literal_definition():
         # distinct powers of 10 make every collapse of every map distinct
         k = Index(tuple(10**j for j in range(r)))
         for i in range(1, r + 1):
-            literal = Counter(collapse(phi, k) for phi in enumerate_phi(r) if phi.beta == i)
+            literal = Counter(collapse(phi, k) for phi in enumerate_phi(r) if beta(phi) == i)
             assert variant_expansion(i, k) == FormalSum(literal), (r, i)
 
 
