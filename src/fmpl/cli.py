@@ -7,8 +7,10 @@ commands run over an inclusive prime range "a..b" (default 5..199,
 b < 2^31) and can write machine-readable JSON or CSV reports.  Exit
 status: 0 all primes pass (skips allowed), 1 any failure, 2 usage error
 (an --out path that cannot be written is one, found before any prime
-runs, and so is an eval whose tables do not fit in memory), 130 interrupted (the partial report is still written), 141 stdout
-closed by its reader (128 + SIGPIPE).
+runs, and so is an eval whose tables do not fit in memory), 3 no failure
+but a check raised an error at some prime (the report records it, and the
+other primes keep their outcomes), 130 interrupted (the partial report is
+still written), 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def _print_report(report: SweepReport) -> None:
     params = " ".join(f"{k}={v}" for k, v in report.params.items())
     print(
         f"check={report.check} {params} primes={report.prime_from}..{report.prime_to}: "
-        f"pass={s['pass']} fail={s['fail']} skip={s['skip']} ({report.duration_ms} ms)"
+        f"pass={s['pass']} fail={s['fail']} skip={s['skip']} error={s['error']} ({report.duration_ms} ms)"
     )
 
 

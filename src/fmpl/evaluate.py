@@ -1,67 +1,42 @@
-"""Per-prime evaluation of the truncated sum families.
+"""Per-prime evaluation of the truncated sum families, exactly in F_p.
 
-Three families are evaluated exactly in F_p:
-
-* zeta(k):   sum over l_i >= 1 with l_1 + ... + l_r < p of 1 / prod L_i^{k_i},
-  computed over the strictly increasing partial sums in O(dep * p).
-* the i-th variant and li_k(T): sums over 0 < l_i < p with every partial
-  sum coprime to p.  Both come from one stage-by-stage table f_j indexed by
-  the exact integer value n of the j-th partial sum (n ranges over
-  [j, j(p-1)]), with the window transition
-      f_j(n) = inv(n)^{k_j} * sum_{0 < n - n' < p} f_{j-1}(n'),
-  realized as a sliding prefix sum, O(dep^2 * p) per prime.
-* the triple-block li(lam, mu, nu; T): the lam- and mu-tables are
-  multiplied as polynomials (modular.mul_mod) into weights w(s) over the
-  exact value s of the combined sum, and that table is advanced through
-  nu's parts by the same window transition, so the third block's
-  denominators (s + N_z) mod p and the exact exponent of T both fall out
-  of the stage index; O((dep lam + dep mu + dep nu) * p) memory, and
+* li_k(T) and its variants sum over 0 < l_i < p with every partial sum
+  coprime to p: a table f_j over the exact value n of the j-th partial
+  sum, f_j(n) = inv(n)^{k_j} * sum_{0 < n - n' < p} f_{j-1}(n'), a sliding
+  prefix sum (_window_step), O(dep^2 * p) per prime.
+* zeta(k) takes l_i >= 1 with l_1 + ... + l_r < p: tables cut at p.
+* li(lam, mu, nu; T): the lam- and mu-tables multiplied (mul_mod) into
+  weights over the exact value s of the combined sum, then advanced
+  through nu's parts by the same step, so the denominators (s + N_z) mod p
+  and the exponent of T fall out of the stage index: O(dep * p) memory and
   O(p log p) time for the weights.
 
-One window-step routine serves all three families; zeta keeps its tables
-at length p, since its partial sums stay below p.  It is batched: each call
-advances a 2-D block of parent rows, each output row by its own part, and a
-single table is a one-row call.  PartialSumTable.of starts a single index
-at its cached stage-1 table and advances it one window step per part.
+Stage 1 is inv^b; its window sums w_b(n), of inv(n')^b over 0 < n' < p
+with n - p < n' < n (0 <= n <= 2p - 2), are cached per (b, p)
+(_inv_window).  Stage 2 is f_(a,b)(n) = inv(n)^b * w_a(n) (_stage_two).
+Zeta values and variants are dot products (_dot_mod) of the head's table
+f_h, for k = (h, b), with a slice of w_b, as inv(n) depends on n mod p:
+    zeta(k)      = sum over 0 <= m <= p - 2 of f_h(m) * w_b(m + p),
+    variant_i(k) = sum of f_h(m) * w_b(m - (i-2)p) over 0 <= m - (i-2)p <= 2p - 2.
 
-Sums over many indices at one prime (the generators of a correction
-expression, the terms of a formal sum of zeta values) share their work
-through a PrefixTrie, the prefix trie of the distinct indices stored by
-level, which does not depend on p.  walk computes it level by level: the
-nodes of a level are computed from their parents' rows by one batched
-window step per block of at most WALK_BLOCK_BYTES of tables, and each
-block's children are walked before the next block, keeping only the rows
-that the next level reads as parents.  So memory is one block of parents
-per level, whatever the number of indices on a level, and at large p,
-where one table passes the bound, the walk is depth first, one path at a
-time.  The zeta and li families differ in one thing only, the table
-length: zeta's tables are cut at p.
-
-The per-prime tables (inverse powers, and the values of eval_zeta,
-eval_fmp and eval_fmp_triple) are memoized by modular.per_prime_cache,
-with p as the last argument.  The memo keeps the tables of the prime in
-use only, and the next prime's tables reuse the heap they leave (see
-modular), so a sweep over a wide range holds one prime's tables.
-A single index's final stage table is kept once, as eval_fmp's
-coefficients, which the variants and the three-block weights read too.
-eval_fmp and eval_fmp_triple hand their final tables, already in [0, p),
-to ModPoly._from_reduced, which keeps them without a copy or a second
-reduction; only a depth-1 eval_fmp copies, since its table is the cached
-inverse-power array.
-
-All arithmetic is exact: int64 modular arithmetic, plus mul_mod's product,
-which is exact at every p < MAX_PRIME and every length.  The naive
-brute-force oracles at the bottom recompute small cases by one literal
-nested loop over the three blocks, which shares no code with the window
-step.
+Sums over many indices share work through a PrefixTrie, walked level by
+level in blocks of WALK_BLOCK_BYTES (walk).  The per-prime tables
+(inverse powers, windows, and the values of eval_zeta, eval_fmp and
+eval_fmp_triple) are memoized for the prime in use by
+modular.per_prime_cache.  A single index's final table is kept once, as
+eval_fmp's coefficients, which ModPoly._from_reduced takes without a copy
+(a depth-1 table, the cached inverse power, is copied).  All arithmetic is
+exact, within the int64 bounds that _window_step, _stage_two and _dot_mod
+state.  The literal-loop oracles at the bottom share no code with the
+kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -94,31 +69,65 @@ def _inv_power_table(k: int, p: int) -> np.ndarray:
     return out
 
 
+@per_prime_cache
+def _inv_window(b: int, p: int) -> np.ndarray:
+    """Read-only w_b[n] = sum of inv(n')^b over 0 < n' < p, n - p < n' < n, mod p, for n <= 2p - 2.
+
+    In place, with no second array: w_b[n] = P(n), the prefix sum of inv^b
+    below n, for n <= p (one cumsum; each is below (p - 1)^2), reduced with
+    the tail as scratch; then the tail, w_b[p + j] = P(p) - P(j + 1).
+    """
+    inv = _inv_powers(b, p)
+    w = np.empty(2 * p - 1, dtype=np.int64)
+    w[0] = 0
+    w[1 : p + 1] = inv
+    np.cumsum(w[: p + 1], out=w[: p + 1])
+    head, tail = w[: p - 2], w[p + 1 :]
+    np.floor_divide(head, p, out=tail)
+    tail *= p
+    head -= tail
+    w[p - 2 : p + 1] %= p
+    np.subtract(w[p], w[2:p], out=tail)
+    np.add(tail, p, out=tail, where=tail < 0)
+    w.flags.writeable = False
+    return w
+
+
+# Entries reduced at a time, so that reduce_mod's temporary is 128 KiB, not a second table.
+REDUCE_CHUNK = 1 << 14
+
+
+def _times_inv_powers(d: np.ndarray, p: int, ks: Sequence[int]) -> None:
+    """d[r, n] *= inv(n)^ks[r] mod p in place; d is C-contiguous, its width a multiple of p.
+
+    Each product must be within reduce_mod's precondition.
+    """
+    grid = d.reshape(len(d), -1, p)
+    kinds = sorted(set(np.asarray(ks).tolist()))
+    if len(kinds) == 1:
+        grid *= _inv_powers(kinds[0], p)
+    else:
+        powers = np.stack([_inv_powers(k, p) for k in kinds])
+        grid *= powers[np.searchsorted(kinds, ks)][:, None, :]
+    flat = d.reshape(-1)
+    for s in range(0, len(flat), REDUCE_CHUNK):
+        reduce_mod(flat[s : s + REDUCE_CHUNK], p)
+
+
 def _window_step(
     prev: np.ndarray, p: int, ks: Sequence[int], length: int, parents: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Row r: out[r, n] = inv(n)^ks[r] * sum_{0 < n - n' < p} prev[parents[r], n'] mod p.
+    """Row r: out[r, n] = inv(n)^ks[r] * sum_{0 < n - n' < p} prev[parents[r], n'] mod p, n < length.
 
-    prev holds one table per row; output row r, for 0 <= n < length,
-    advances row parents[r] of prev (row r when parents is None) by one
-    summand with exponent ks[r].  A single table is a one-row call.
+    parents None means row r of prev.  The window sums are the running sums
+    of d[n] = prev[n - 1] - prev[n - p] (prev read as 0 outside its range),
+    so a short table such as [1] still feeds every 0 < n < p; they are
+    formed once per row of prev and gathered for the rows of the result.
 
-    The window sums are the running sums along each row of
-    d[n] = prev[n - 1] - prev[n - p] (prev read as 0 outside its range),
-    so a table shorter than the window, such as the start table [1], still
-    feeds every 0 < n < p.  They are formed once per row of prev and then
-    gathered for the rows of the result, which are shaped as rows of p so
-    that the inverse powers apply row by row.
-
-    int64 bound: prev's entries lie in [0, p), as in every table built
-    here.  A plain prefix sum of prev would reach len(prev) * (p - 1); each
-    running sum of d is one window of at most p - 1 entries, so it lies in
-    [0, (p - 1)^2], and times an inverse power it is at most (p - 1)^3.
-    For p <= 2^21 that is < 2^63, within reduce_mod's precondition for
-    non-negative x, so the product is reduced once.  Above, the window sums
-    are reduced first, and a reduced window times an inverse power is
-    < p^2 < 2^62 for p < MAX_PRIME = 2^31.  Either way every table built
-    here stays exact, at any length.
+    int64 bound: prev lies in [0, p), so a window sum is at most (p - 1)^2
+    and times an inverse power at most (p - 1)^3, < 2^63 for p <= 2^21, and
+    the product is reduced once.  Above, the window sums are reduced first,
+    and the product is < p^2 < 2^62 for p < MAX_PRIME = 2^31.
     """
     rows = -(-length // p)
     d = np.empty((len(prev), rows * p), dtype=np.int64)
@@ -131,34 +140,47 @@ def _window_step(
         reduce_mod(d, p)
     if parents is not None:
         d = d[parents]
-    grid = d.reshape(len(d), rows, p)
-    kinds = sorted(set(np.asarray(ks).tolist()))
-    if len(kinds) == 1:
-        grid *= _inv_powers(kinds[0], p)
-    else:
-        powers = np.stack([_inv_powers(k, p) for k in kinds])
-        grid *= powers[np.searchsorted(kinds, ks)][:, None, :]
-    reduce_mod(grid, p)
+    _times_inv_powers(d, p, ks)
     return d[:, :length]
 
 
+def _stage_two(firsts: np.ndarray, ks: Sequence[int], p: int, length: int) -> np.ndarray:
+    """Row r: the stage-2 table inv(n)^ks[r] * w_firsts[r][n] mod p of (firsts[r], ks[r]), n < length <= 2p - 1.
+
+    int64 bound: both factors lie in [0, p), so each product is < p^2 and
+    is reduced once.
+    """
+    d = np.empty((len(ks), -(-length // p) * p), dtype=np.int64)
+    d[:, length:] = 0
+    for a in set(firsts.tolist()):
+        d[firsts == a, :length] = _inv_window(a, p)[:length]
+    _times_inv_powers(d, p, ks)
+    return d[:, :length]
+
+
+def _dot_mod(tables: np.ndarray, weights: np.ndarray, p: int) -> np.ndarray:
+    """sum_n tables[..., n] * weights[n] mod p along the last axis, for at most 2p - 1 terms.
+
+    int64 bound: entries and weights lie in [0, p), so a sum of 2p - 1
+    products is at most (2p - 1)(p - 1)^2, < 2^63 for p <= 1,664,511.  At
+    larger p the products are reduced first, and their sum is < 2p^2.
+    """
+    products = tables * weights
+    if (2 * p - 1) * (p - 1) ** 2 >= 1 << 63:
+        reduce_mod(products, p)
+    return products.sum(axis=-1) % p
+
+
 class PrefixTrie:
-    """The prefix trie of a set of indices, stored by level; it does not depend on p.
+    """The prefix trie of a set of indices, by level; immutable, and the same at every p.
 
-    A trie never changes once it is built, so one trie serves every prime.
-
-    ``indices`` holds the distinct indices in sorted order, and an index's
-    position there is its leaf id.  Level j holds the distinct length-j
-    prefixes, in sorted order; level 0 is the root, the empty prefix.  For
-    the nodes of level j >= 1, ``parent[j]`` is the node of level j - 1
-    that each one extends and ``part[j]`` the part k_j it appends.  Sorted
-    order makes ``parent[j]`` nondecreasing, so the children of node i of
-    level j are the nodes first_child[j][i] .. first_child[j][i + 1] - 1 of
-    level j + 1, and the descendants of consecutive nodes are consecutive
-    at every level below.  ``leaf[j]`` is each node's leaf id, or -1 where
-    no index ends.  ``fed[j]`` lists the level-j nodes that have children,
-    and ``parent_row[j]`` gives, for each node of level j >= 1, its
-    parent's position in ``fed[j - 1]``.
+    ``indices``: the distinct indices, sorted; a position is a leaf id.
+    Level j holds the sorted length-j prefixes (level 0 the root).
+    ``parent[j]``, ``part[j]``: each level-j node's parent and appended
+    part; sorted order makes the children of node i the nodes
+    first_child[j][i] .. first_child[j][i + 1] - 1.  ``leaf[j]``: leaf id
+    or -1.  ``fed[j]``: the nodes with children; ``parent_row[j]``: each
+    node's parent's position in ``fed[j - 1]``.
     """
 
     def __init__(self, indices: Iterable[Index]):
@@ -196,6 +218,35 @@ class PrefixTrie:
             self.parent_row.append(np.cumsum(new) - 1)
         self.first_child.append(np.zeros(len(self.leaf[depth]) + 1, dtype=np.intp))
 
+    @cached_property
+    def by_last_part(self) -> "LastParts":
+        """The indices split into head and last part, as zeta_sums reads them; built once per trie."""
+        singles = tuple((k[0], i) for i, k in enumerate(self.indices) if k.depth == 1)
+        heads = PrefixTrie(k.head() for k in self.indices if k.depth > 1)
+        head_leaf = {h: i for i, h in enumerate(heads.indices)}
+        pairs = sorted((k[-1], head_leaf[k.head()], i) for i, k in enumerate(self.indices) if k.depth > 1)
+        last, head_of, leaf_of = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
+        parts = sorted({b for b, _, _ in pairs})  # not np.unique, which imports numpy.ma
+        return LastParts(singles, heads, parts, np.append(np.searchsorted(last, parts), len(last)), head_of, leaf_of)
+
+
+class LastParts(NamedTuple):
+    """A trie's indices of depth >= 1, each split into its head and its last part b.
+
+    ``singles`` holds (b, leaf id) for each index of depth 1.  The deeper
+    indices are pairs, sorted by b: ``head_of`` is the head's leaf id in
+    ``heads``, the trie of their heads, and ``leaf_of`` the index's leaf id.
+    ``parts`` are their distinct last parts, ascending; part i's pairs are
+    ``bounds[i]`` .. ``bounds[i + 1] - 1``.
+    """
+
+    singles: tuple[tuple[int, int], ...]
+    heads: PrefixTrie
+    parts: list[int]
+    bounds: np.ndarray
+    head_of: np.ndarray
+    leaf_of: np.ndarray
+
 
 # Bytes of the tables that one batched window step may produce: a level's
 # nodes are taken in blocks of at most this size, or one node at a time
@@ -204,51 +255,56 @@ WALK_BLOCK_BYTES = 128 << 10
 
 
 def walk(trie: PrefixTrie, p: int, cap: Optional[int] = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (leaf ids, tables), one read-only table row per leaf id, for the trie's indices.
+    """Yield (leaf ids, read-only tables), each index once, in no set order.
 
-    The stage-j table of a node has length j * (p - 1) + 1, cut at cap >= p
-    when one is given; the root's is [1], and stage 1 is the cached
-    inverse-power table.  Every node is computed and each index comes once,
-    in no particular order; a caller that wants only some of the indices
-    skips the others where it reads the tables.
-
-    The walk goes by levels: consecutive nodes of a level are computed by
-    one batched _window_step from their parents' rows, in blocks of at most
-    WALK_BLOCK_BYTES of tables, and each block's children are walked before
-    the next block.  Once a block's leaves are yielded, only the rows that
-    the next level reads as parents are kept.  So the walk holds at most
-    one block of parents per level, however many indices a level has; for
-    large p, where a single table passes the bound, a block is one node and
-    the walk is the depth-first walk of one path.
+    A stage-j table has length j * (p - 1) + 1, cut at cap >= p if given.
+    Consecutive nodes of a level are computed by one batched step, in
+    blocks of at most WALK_BLOCK_BYTES of tables, and each block's children
+    are walked before the next block: level 2 by _stage_two from the
+    parents' parts, deeper levels by _window_step from the parents' rows,
+    of which only those the next level reads are kept.  So the walk holds
+    one block of parents per level; at large p a block is one node and the
+    walk goes depth first.
     """
     depth = trie.depth
     lengths = [1] + [j * (p - 1) + 1 if cap is None else min(cap, j * (p - 1) + 1) for j in range(1, depth + 1)]
 
-    def descend(j: int, a: int, b: int, rows: np.ndarray):
-        """Yield the leaves of the level-j nodes a .. b - 1 and their descendants, given the nodes' rows."""
-        rows.flags.writeable = False
+    def descend(j: int, a: int, b: int, rows: Optional[np.ndarray]):
+        """Yield the leaves of the level-j nodes a .. b - 1 and their descendants, given the nodes' rows.
+
+        Level 1 has no rows: a leaf there reads its cached inverse power.
+        """
         leaves = trie.leaf[j][a:b]
         wanted = leaves >= 0
-        if wanted.all():
-            yield leaves, rows
-        elif wanted.any():
-            tables = rows[wanted]
-            tables.flags.writeable = False
-            yield leaves[wanted], tables
+        if rows is None:
+            if wanted.any():
+                powers = [_inv_powers(k, p) for k in trie.part[1][a:b][wanted].tolist()]
+                tables = powers[0][None] if len(powers) == 1 else np.stack(powers)
+                tables.flags.writeable = False
+                yield leaves[wanted], tables
+        else:
+            rows.flags.writeable = False
+            if wanted.all():
+                yield leaves, rows
+            elif wanted.any():
+                tables = rows[wanted]
+                tables.flags.writeable = False
+                yield leaves[wanted], tables
         lo, hi = trie.first_child[j][a], trie.first_child[j][b]
         if lo == hi:
             return
         row_of = trie.parent_row[j + 1]
         fed = row_of[lo]  # rows[i] becomes the parent row fed + i
-        if row_of[hi - 1] + 1 - fed < b - a:
+        if j >= 2 and row_of[hi - 1] + 1 - fed < b - a:
             rows = rows[trie.fed[j][fed : row_of[hi - 1] + 1] - a]  # the parents only
         block = max(1, WALK_BLOCK_BYTES // (8 * lengths[j + 1]))
         for c in range(lo, hi, block):
             d = min(c + block, hi)
             ks = trie.part[j + 1][c:d]
-            if j == 0:  # stage 1 is the cached inverse-power table, not copied for one node
-                powers = [_inv_powers(k, p) for k in ks.tolist()]
-                tables = powers[0][None] if len(powers) == 1 else np.stack(powers)
+            if j == 0:  # stage 1 is the cached inverse-power table
+                tables = None
+            elif j == 1:  # stage 2 is an inverse power times the parent's cached window
+                tables = _stage_two(trie.part[1][trie.parent[2][c:d]], ks, p, lengths[2])
             else:
                 first, last = row_of[c], row_of[d - 1] + 1
                 parents = None if last - first == d - c else row_of[c:d] - first
@@ -259,33 +315,47 @@ def walk(trie: PrefixTrie, p: int, cap: Optional[int] = None) -> Iterator[tuple[
 
 
 def zeta_sums(trie: PrefixTrie, p: int) -> np.ndarray:
-    """zeta(k) mod p for each of the trie's indices, in its order.
+    """zeta(k) mod p for each of the trie's indices, in its order; p is a checked prime.
 
-    zeta's partial sums stay below p, so its tables are cut at length p;
-    a table's entries are < p, so its sum is < p^2.  The caller has checked
-    that p is prime.
+    Only the trie of the heads of the indices of depth >= 2 is walked, cut
+    at p.  For each block it yields and each last part b, the rows of the
+    heads extended by b are dotted with w_b's tail.
     """
+    singles, heads, parts, bounds, head_of, leaf_of = trie.by_last_part
     out = np.zeros(len(trie.indices), dtype=np.int64)
-    for ids, rows in walk(trie, p, p):
-        out[ids] = rows.sum(axis=1) % p
+    if trie.indices and not trie.indices[0]:
+        out[0] = 1  # the empty index sorts first
+    for b, i in singles:  # zeta((b)) = w_b[p], the sum of inv^b: no window is built for it
+        out[i] = int(_inv_powers(b, p).sum()) % p
+    row_of = np.full(len(heads.indices), -1, dtype=np.intp)
+    for leaves, tables in walk(heads, p, p):
+        row_of[leaves] = np.arange(len(leaves))
+        rows = row_of[head_of]
+        row_of[leaves] = -1
+        hit = np.flatnonzero(rows >= 0)  # the block's pairs, by last part
+        cuts = np.searchsorted(hit, bounds).tolist()
+        tables = tables[:, : p - 1]
+        for b, lo, hi in zip(parts, cuts, cuts[1:]):
+            if lo < hi:
+                pairs = hit[lo:hi]
+                tail = _inv_window(b, p)[p : p + tables.shape[1]]
+                out[leaf_of[pairs]] = _dot_mod(tables[rows[pairs]], tail, p)
     return out
 
 
 @dataclass(frozen=True)
 class PartialSumTable:
-    """Distribution of a stage's exact partial-sum value over F_p.
+    """The stage table f_j(n) over the exact partial sum n, cut at cap >= p if given.
 
-    values[n] holds the stage-j table entry f_j(n), with support in
-    [stage, stage*(p-1)], cut at length cap >= p when one is given.  Tables
-    produced by `advanced` are zero at every n divisible by p (excluded
-    denominators); a start table, such as the convolved weights of the
-    three-block sum, may be nonzero there.
+    `advanced` tables are zero at every n divisible by p; a start table,
+    such as the three-block weights, may not be.
     """
 
     p: int
     stage: int
     values: np.ndarray
     cap: Optional[int] = None
+    part: Optional[int] = None  # b where values is inv^b, set by `of`
 
     @classmethod
     def of(cls, k: Index, p: int, cap: Optional[int] = None) -> "PartialSumTable":
@@ -295,39 +365,42 @@ class PartialSumTable:
         """
         if k.depth == 0:
             return cls(p, 0, np.ones(1, dtype=np.int64), cap)
-        table = cls(p, 1, _inv_powers(k[0], p), cap)
+        table = cls(p, 1, _inv_powers(k[0], p), cap, k[0])
         for kj in k[1:]:
             table = table.advanced(kj)
         return table
 
     def advanced(self, k_next: int) -> "PartialSumTable":
-        """Append one summand 0 < l < p and divide by the new sum's power."""
+        """Append one summand 0 < l < p and divide by the new sum's power (_stage_two from stage 1)."""
         p, cap = self.p, self.cap
         length = (self.stage + 1) * (p - 1) + 1
-        vals = _window_step(self.values[None], p, (k_next,), length if cap is None else min(cap, length))[0]
+        if cap is not None:
+            length = min(cap, length)
+        if self.part is None:
+            vals = _window_step(self.values[None], p, (k_next,), length)[0]
+        else:
+            vals = _stage_two(np.array([self.part]), (k_next,), p, length)[0]
         vals.flags.writeable = False
         return PartialSumTable(p, self.stage + 1, vals, cap)
 
 
 @per_prime_cache
 def eval_zeta(k: Index, p: int) -> int:
-    """The truncated multiple harmonic sum mod p; 1 for the empty index.
-
-    One index is one path of one-row window steps, its tables cut at p.
-    """
+    """The truncated multiple harmonic sum mod p; 1 for the empty index: the head's table, cut at p, dotted with a window's tail."""
     ensure_prime(p)
-    return int(PartialSumTable.of(k, p, p).values.sum() % p)
+    if not k:
+        return 1
+    head = PartialSumTable.of(k.head(), p, p).values[: p - 1]
+    return int(_dot_mod(head, _inv_window(k[-1], p)[p : p + len(head)], p))
 
 
 @per_prime_cache
 def eval_fmp(k: Index, p: int) -> ModPoly:
     """The polynomial sum of T^(last partial sum) / prod L_i^{k_i} in F_p[T].
 
-    Its coefficients are the final stage table of k, trimmed of trailing
-    zeros and not copied otherwise; the memo keeps this one copy of the
-    table, which the variants and the three-block weights read too.  At
-    depth 1 the table is the cached inverse-power array, which is copied so
-    that the memo counts each array once.
+    Its coefficients are k's final stage table, trimmed of trailing zeros
+    and not copied otherwise, except at depth 1, where the table is the
+    cached inverse power: the memo counts each array once.
     """
     ensure_prime(p)
     values = PartialSumTable.of(k, p).values
@@ -335,15 +408,19 @@ def eval_fmp(k: Index, p: int) -> ModPoly:
 
 
 def eval_zeta_variant(i: int, k: Index, p: int) -> int:
-    """The variant whose last partial sum lies in ((i-1)p, ip)."""
+    """The variant whose last partial sum lies in ((i-1)p, ip): the head's polynomial dotted with a window slice."""
     ensure_prime(p)
     r = k.depth
     if r < 1:
         raise ValueError("variant evaluation requires a nonempty index")
     if not 1 <= i <= r:
         raise ValueError(f"variant selector i={i} outside [1, {r}]")
-    vals = eval_fmp(k, p).coeffs
-    return int(vals[(i - 1) * p + 1 : i * p].sum() % p)
+    head = eval_fmp(k.head(), p).coeffs
+    shift = (i - 2) * p
+    lo, hi = max(0, shift), min(len(head), i * p - 1)
+    if lo >= hi:
+        return 0
+    return int(_dot_mod(head[lo:hi], _inv_window(k[-1], p)[lo - shift : hi - shift], p))
 
 
 @per_prime_cache
@@ -351,11 +428,8 @@ def eval_fmp_triple(lam: Index, mu: Index, nu: Index, p: int) -> ModPoly:
     """The three-block polynomial interpolating between li and a product.
 
     The sum runs over 0 < l_x, m_y, n_z < p; the excluded denominators are
-    exactly the displayed factors (every L_x, every M_y, and every
-    L_a + M_b + N_z), so the intermediate value L_a + M_b itself may be
-    divisible by p.  The monomial exponent is the exact total sum.  The
-    weights over L_a + M_b are the product of the lam- and mu-tables, by
-    mul_mod.
+    every L_x, M_y and L_a + M_b + N_z, so L_a + M_b may be divisible by p.
+    The exponent is the exact total sum.
     """
     ensure_prime(p)
     fa, fb = eval_fmp(lam, p), eval_fmp(mu, p)

@@ -11,6 +11,8 @@ report ordered by prime, and an interrupted sweep keeps the outcomes of
 the chunks whose results came back.  A prime outside the domain where the
 check's identity is claimed is recorded as a skip with its reason, never
 silently dropped, so a sweep verdict is always "pass with exception set".
+A check that raises at one prime (a MemoryError included) is recorded as
+an error with the exception's type and message, and the sweep goes on.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .modular import primes_in_range
 from .surjections import MAX_R, bijection_roundtrip
 from .words import Index
 
-PASS, FAIL, SKIP = "pass", "fail", "skip"
+PASS, FAIL, SKIP, ERROR = "pass", "fail", "skip", "error"
 
 # Bound on the total weight of a check's index parameters.  Every part that a
 # check merges or groups (a stuffle or star merge, a descent group) is at most
@@ -65,14 +67,18 @@ class SweepReport:
 
     @property
     def summary(self) -> dict[str, int]:
-        counts = {PASS: 0, FAIL: 0, SKIP: 0}
+        counts = {PASS: 0, FAIL: 0, SKIP: 0, ERROR: 0}
         for r in self.results:
             counts[r.status] += 1
         return counts
 
     @property
     def exit_code(self) -> int:
-        return 0 if self.summary[FAIL] == 0 else 1
+        """1 if some prime failed, else 3 if some prime raised an error, else 0."""
+        summary = self.summary
+        if summary[FAIL]:
+            return 1
+        return 3 if summary[ERROR] else 0
 
     def to_json_dict(self) -> dict:
         results = []
@@ -204,12 +210,20 @@ def echo_params(params: dict) -> dict[str, str]:
 
 
 def run_one(check: str, params: dict, p: int) -> PrimeOutcome:
-    """Execute one (check, prime) task; out-of-domain primes become skips."""
+    """Execute one (check, prime) task.
+
+    Out-of-domain primes become skips.  An exception from the check
+    becomes an error, "<Type>: <message>", so that one prime cannot end
+    the sweep; KeyboardInterrupt is not an Exception and still stops it.
+    """
     entry = CHECKS[check]
     args = entry.args(params)
     if entry.bound is not None and p <= (bound := entry.bound(*args)):
         return PrimeOutcome(p, SKIP, f"outside the domain p > {entry.bound_text} = {bound}")
-    result = entry.run(*args, p)
+    try:
+        result = entry.run(*args, p)
+    except Exception as exc:
+        return PrimeOutcome(p, ERROR, f"{type(exc).__name__}: {exc}")
     if result.ok:
         return PrimeOutcome(p, PASS, result.detail)
     return PrimeOutcome(p, FAIL, result.detail)

@@ -132,6 +132,23 @@ def test_verify_failure_exit_one(capsys, monkeypatch):
     assert "li(1) = 1" in err
 
 
+def test_verify_error_at_one_prime_exits_three(capsys, monkeypatch, tmp_path):
+    def raises_at_seven(k, p):
+        if p == 7:
+            raise MemoryError("planted at p = 7")
+        return CheckResult(True)
+
+    monkeypatch.setitem(sweep.CHECKS, "planted", dataclasses.replace(sweep.CHECKS["reversal"], run=raises_at_seven))
+    path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "verify", "planted", "-k", "1", "--primes", "5..13", "--jobs", "1", "--out", str(path))
+    assert code == 3
+    assert "pass=3 fail=0 skip=0 error=1" in out
+    assert "p=7: error MemoryError: planted at p = 7" in err
+    doc = json.loads(path.read_text())
+    assert doc["summary"] == {"pass": 3, "fail": 0, "skip": 0, "error": 1}
+    assert [(e["p"], e["status"]) for e in doc["results"]] == [(5, "pass"), (7, "error"), (11, "pass"), (13, "pass")]
+
+
 def test_verify_li_at_one_skips_outside_domain(capsys):
     code, out, err = run_cli(capsys, "verify", "li-at-1", "-k", "1", "--primes", "2..7", "--jobs", "1")
     assert code == 0
@@ -253,7 +270,7 @@ def test_verify_writes_json_report(tmp_path, capsys):
     assert code == 0
     doc = json.loads(path.read_text())
     assert doc["check"] == "stuffle"
-    assert doc["summary"] == {"pass": 8, "fail": 0, "skip": 0}
+    assert doc["summary"] == {"pass": 8, "fail": 0, "skip": 0, "error": 0}
     assert [e["p"] for e in doc["results"]] == [5, 7, 11, 13, 17, 19, 23, 29]
 
 
@@ -424,4 +441,4 @@ def test_verify_into_a_closed_pipe_exits_141_and_keeps_its_report(tmp_path):
     code, err = _close_stdout_early(argv, 0)
     assert code == 141, err
     assert "Traceback" not in err
-    assert json.loads(report.read_text())["summary"] == {"pass": len(primes_in_range(5, 2000)), "fail": 0, "skip": 0}
+    assert json.loads(report.read_text())["summary"] == {"pass": len(primes_in_range(5, 2000)), "fail": 0, "skip": 0, "error": 0}

@@ -9,6 +9,7 @@ from fmpl import evaluate, modular
 from fmpl.evaluate import (
     PartialSumTable,
     PrefixTrie,
+    _dot_mod,
     _window_step,
     brute_force_fmp,
     brute_force_fmp_triple,
@@ -137,6 +138,80 @@ def test_window_step_exact_on_all_max_tables(p):
     check(_window_step(prev, p, (1, 3), p, np.array([1, 0])), (1, 0), (1, 3), p)
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 13, 101))
+def test_inv_window_is_the_window_sums_of_each_inverse_power(p):
+    for b in (1, 2, 5):
+        inv = [pow(t, -b, p) if t % p else 0 for t in range(p)]
+        literal = [sum(inv[max(1, n - p + 1) : min(n, p)]) % p for n in range(2 * p - 1)]
+        w = evaluate._inv_window(b, p)
+        assert w.tolist() == literal, (b, p)
+        assert not w.flags.writeable
+
+
+@pytest.mark.parametrize("p", (1664501, 1664543))
+def test_dot_mod_exact_on_all_max_tables(p):
+    # 1664501 is the largest prime where a sum of 2p - 1 products < p^2 stays
+    # below 2^63 and is summed unreduced; at 1664543 it would not, and the
+    # products are reduced first
+    n = 2 * p - 1
+    assert (n * (p - 1) ** 2 < 1 << 63) == (p == 1664501)
+    heads = np.full((2, n), p - 1, dtype=np.int64)
+    heads[1, ::3] = 0
+    weights = np.full(n, p - 1, dtype=np.int64)
+
+    def literal(row, w):
+        """sum row[m] * w[m] mod p, in Python ints."""
+        return sum(a * b for a, b in zip(row.tolist(), w.tolist())) % p
+
+    assert _dot_mod(heads, weights, p).tolist() == [literal(row, weights) for row in heads]
+    # a band of a variant: a head slice against a window slice of another length
+    lo, hi = p - 5, n - 2
+    band = _dot_mod(heads[:, lo:hi], weights[2 : 2 + hi - lo], p)
+    assert band.tolist() == [literal(row[lo:hi], weights[2 : 2 + hi - lo]) for row in heads]
+    assert int(_dot_mod(heads[0], weights, p)) == n * (p - 1) ** 2 % p
+
+
+def _count_step_rows(monkeypatch) -> list:
+    """Patch _window_step to record the number of rows of each call; return the record."""
+    rows = []
+    step = evaluate._window_step
+
+    def counted(*args, **kwargs):
+        out = step(*args, **kwargs)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(evaluate, "_window_step", counted)
+    return rows
+
+
+@pytest.mark.parametrize("p", (13, 1009))
+def test_zeta_sums_steps_only_the_heads_past_stage_two(monkeypatch, p):
+    # zeta(h, b) reads h's table and the window w_b, so the indices' own
+    # tables are never built: of the trie's nodes, only those with children
+    # (the heads' prefixes) get tables, and stages 1 and 2 take no step
+    rows = _count_step_rows(monkeypatch)
+    trie = PrefixTrie(indices_up_to(8, max_depth=5))
+    values = zeta_sums(trie, p)
+    assert sum(rows) == sum(len(trie.fed[j]) for j in range(3, trie.depth)) > 0
+    assert values.tolist() == [eval_zeta(k, p) for k in trie.indices]
+
+
+def test_single_index_values_step_only_the_head_past_stage_two(monkeypatch):
+    rows = _count_step_rows(monkeypatch)
+    p = 101
+    for k in indices_up_to(9, max_depth=6, include_empty=False):
+        for i in range(1, k.depth + 1):
+            monkeypatch.setattr(modular, "_TABLES", modular._PrimeTables())
+            rows.clear()
+            eval_zeta_variant(i, k, p)
+            assert rows == [1] * max(0, k.depth - 3), (i, k)
+        monkeypatch.setattr(modular, "_TABLES", modular._PrimeTables())
+        rows.clear()
+        eval_zeta(k, p)
+        assert rows == [1] * max(0, k.depth - 3), k
+
+
 def test_walk_memory_does_not_grow_with_the_width_of_a_level():
     # the 126 indices of depth 4 and weight <= 9: at p = 10007 their level
     # of the trie alone is 126 tables of 313 KiB (39 MiB), where the walk
@@ -165,22 +240,34 @@ def test_single_index_tables_are_counted_once_in_the_memo(monkeypatch):
     for i in range(1, k.depth + 1):
         eval_zeta_variant(i, k, p)
     tables = modular._TABLES.entries
-    assert {key[0].__name__ for key in tables} == {"inverse_table", "_inv_power_table", "eval_fmp"}
+    names = {"inverse_table", "_inv_power_table", "_inv_window", "eval_fmp"}
+    assert {key[0].__name__ for key in tables} == names
     # inv^1 is the inverse table itself, held and counted once
     assert evaluate._inv_powers(1, p) is inverse_table(p)
     assert sorted(key[1][0] for key in tables if key[0].__name__ == "_inv_power_table") == [2, 3]
+    # stage 2 of k reads w_2, and the variants read the head's polynomial and w_3
+    assert sorted(key[1][0] for key in tables if key[0].__name__ == "_inv_window") == [2, 3]
+    assert sorted(key[1][0] for key in tables if key[0].__name__ == "eval_fmp") == [k.head(), k]
+    h = eval_fmp(k.head(), p)
+
+    def nbytes(name):
+        return sum(v.nbytes for key, v in tables.items() if key[0].__name__ == name)
+
+    inverse = nbytes("inverse_table") + nbytes("_inv_power_table")
+    assert inverse == 3 * 8 * p
+    assert nbytes("_inv_window") == 2 * 8 * (2 * p - 1)
     arrays = [v.coeffs if isinstance(v, ModPoly) else v for v in tables.values()]
     assert len({id(v) for v in arrays}) == len(arrays)
-    inverse = sum(v.nbytes for key, v in tables.items() if key[0].__name__ != "eval_fmp")
-    assert inverse == 3 * 8 * p
-    assert sum(v.nbytes for v in arrays) == inverse + f.coeffs.nbytes
+    held = inverse + nbytes("_inv_window") + f.coeffs.nbytes + h.coeffs.nbytes
+    assert sum(v.nbytes for v in arrays) == held
     assert f.coeffs.nbytes == 8 * (k.depth * (p - 1) + 1)
+    assert h.coeffs.nbytes == 8 * (k.head().depth * (p - 1) + 1)
     # a depth-1 polynomial copies its table, which is a cached inverse power
     g = eval_fmp(I(3), p)
     assert not np.shares_memory(g.coeffs, evaluate._inv_powers(3, p))
     arrays = [v.coeffs if isinstance(v, ModPoly) else v for v in tables.values()]
     assert len({id(v) for v in arrays}) == len(arrays)
-    assert sum(v.nbytes for v in arrays) == inverse + f.coeffs.nbytes + g.coeffs.nbytes
+    assert sum(v.nbytes for v in arrays) == held + g.coeffs.nbytes
 
 
 def test_eval_zeta_tables_stay_at_length_p(monkeypatch):

@@ -27,7 +27,7 @@ I = Index.of
 def test_run_sweep_covers_requested_primes():
     report = run_sweep("stuffle", {"l": I(2), "r": I(3)}, 5, 30)
     assert [r.p for r in report.results] == primes_in_range(5, 30)
-    assert report.summary == {"pass": 8, "fail": 0, "skip": 0}
+    assert report.summary == {"pass": 8, "fail": 0, "skip": 0, "error": 0}
     assert report.exit_code == 0
 
 
@@ -142,7 +142,7 @@ def test_json_report_schema():
     assert doc["check"] == "pfd"
     assert doc["params"] == {"alpha": "1", "beta": "2"}
     assert doc["primes"] == {"from": 5, "to": 11}
-    assert doc["summary"] == {"pass": 3, "fail": 0, "skip": 0}
+    assert doc["summary"] == {"pass": 3, "fail": 0, "skip": 0, "error": 0}
     for entry in doc["results"]:
         assert set(entry) <= {"p", "status", "detail"}
     # passing entries without detail omit the key entirely
@@ -191,7 +191,7 @@ def test_chunked_pool_sweep_matches_serial(monkeypatch):
     serial.pop("duration_ms")
     parallel.pop("duration_ms")
     assert parallel == serial
-    assert serial["summary"] == {"pass": 75, "fail": 1, "skip": 0}
+    assert serial["summary"] == {"pass": 75, "fail": 1, "skip": 0, "error": 0}
 
 
 class _RecordingPool(_InlinePool):
@@ -218,6 +218,37 @@ def test_pool_gets_few_chunks_largest_prime_first(monkeypatch, prime_to):
     assert max(primes) in _RecordingPool.chunks[0]
     assert sorted(p for chunk in _RecordingPool.chunks for p in chunk) == primes
     assert [r.p for r in report.results] == primes
+
+
+def _raises_at_seven(l, r, p):
+    if p == 7:
+        raise MemoryError("planted at p = 7")
+    return verify_stuffle(l, r, p)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_error_at_one_prime_is_recorded_and_the_sweep_goes_on(monkeypatch, jobs):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+    monkeypatch.setitem(CHECKS, "planted", dataclasses.replace(CHECKS["stuffle"], run=_raises_at_seven))
+    params = {"l": I(1, 1), "r": I(2)}
+    report = run_sweep("planted", params, 5, 13, jobs=jobs)
+    assert _InlinePool.sizes == ([] if jobs == 1 else [2])
+    error = PrimeOutcome(7, "error", "MemoryError: planted at p = 7")
+    expected = run_sweep("stuffle", params, 5, 13, jobs=1).results
+    assert report.results == [error if r.p == 7 else r for r in expected]
+    assert report.summary == {"pass": 3, "fail": 0, "skip": 0, "error": 1}
+    assert report.exit_code == 3
+    assert {"p": 7, "status": "error", "detail": error.detail} in report.to_json_dict()["results"]
+    rows = list(csv.reader(io.StringIO(report.to_csv())))
+    assert ["planted", "l=1,1;r=2", "7", "error", error.detail] in rows
+
+
+def test_a_failure_outranks_an_error_in_the_exit_code():
+    report = SweepReport("stuffle", {}, 5, 7, [PrimeOutcome(5, "error", "MemoryError: "), PrimeOutcome(7, "fail", "x")])
+    assert report.summary == {"pass": 0, "fail": 1, "skip": 0, "error": 1}
+    assert report.exit_code == 1
 
 
 def test_bijection_detail_lines():
@@ -310,7 +341,7 @@ def test_long_sweep_holds_at_most_the_cache_bound():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert report.summary == {"pass": 428, "fail": 0, "skip": 0}
+    assert report.summary == {"pass": 428, "fail": 0, "skip": 0, "error": 0}
     assert held < 2 * 2**20
 
 
