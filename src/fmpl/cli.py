@@ -40,7 +40,7 @@ def _prime(text: str) -> int:
         p = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not is_prime(p):
+    if not 2 <= p < MAX_PRIME or not is_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not a prime in the supported range")
     return p
 

@@ -175,48 +175,26 @@ class PrefixTrie:
     """The prefix trie of a set of indices, by level; immutable, and the same at every p.
 
     ``indices``: the distinct indices, sorted; a position is a leaf id.
-    Level j holds the sorted length-j prefixes (level 0 the root).
+    Level j holds the sorted distinct length-j prefixes (level 0 the root).
     ``parent[j]``, ``part[j]``: each level-j node's parent and appended
     part; sorted order makes the children of node i the nodes
     first_child[j][i] .. first_child[j][i + 1] - 1.  ``leaf[j]``: leaf id
-    or -1.  ``fed[j]``: the nodes with children; ``parent_row[j]``: each
-    node's parent's position in ``fed[j - 1]``.
+    or -1.
     """
 
     def __init__(self, indices: Iterable[Index]):
         self.indices = sorted(set(indices))
-        depth = max((k.depth for k in self.indices), default=0)
-        parent: list[list[int]] = [[] for _ in range(depth + 1)]
-        part: list[list[int]] = [[] for _ in range(depth + 1)]
-        leaf: list[list[int]] = [[-1]] + [[] for _ in range(depth)]
-        path, prev = [0], ()
-        for i, k in enumerate(self.indices):
-            common = 0
-            for a, b in zip(prev, k):
-                if a != b:
-                    break
-                common += 1
-            del path[common + 1 :]
-            for j in range(common + 1, k.depth + 1):
-                path.append(len(parent[j]))
-                parent[j].append(path[-2])
-                part[j].append(k[j - 1])
-                leaf[j].append(-1)
-            leaf[k.depth][path[-1]] = i
-            prev = k
-        self.depth = depth
-        self.parent = [np.array(ids, dtype=np.intp) for ids in parent]
-        self.part = [np.array(ks, dtype=np.int64) for ks in part]
-        self.leaf = [np.array(ids, dtype=np.intp) for ids in leaf]
-        self.first_child, self.fed, self.parent_row = [], [], [np.zeros(1, dtype=np.intp)]
-        for j in range(depth):
-            below = self.parent[j + 1]
-            self.first_child.append(np.searchsorted(below, np.arange(len(self.leaf[j]) + 1)))
-            new = np.ones(len(below), dtype=bool)
-            np.not_equal(below[1:], below[:-1], out=new[1:])
-            self.fed.append(below[new])
-            self.parent_row.append(np.cumsum(new) - 1)
-        self.first_child.append(np.zeros(len(self.leaf[depth]) + 1, dtype=np.intp))
+        self.depth = max((k.depth for k in self.indices), default=0)
+        levels = [[()]] + [sorted({k[:j] for k in self.indices if k.depth >= j}) for j in range(1, self.depth + 1)]
+        leaf_of = {k: i for i, k in enumerate(self.indices)}
+        self.leaf = [np.array([leaf_of.get(q, -1) for q in level], dtype=np.intp) for level in levels]
+        self.parent, self.part = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int64)]
+        for above, level in zip(levels, levels[1:]):
+            row = {q: i for i, q in enumerate(above)}
+            self.parent.append(np.array([row[q[:-1]] for q in level], dtype=np.intp))
+            self.part.append(np.array([q[-1] for q in level], dtype=np.int64))
+        below = self.parent[1:] + [np.zeros(0, dtype=np.intp)]
+        self.first_child = [np.searchsorted(ids, np.arange(len(level) + 1)) for ids, level in zip(below, levels)]
 
     @cached_property
     def by_last_part(self) -> "LastParts":
@@ -261,10 +239,10 @@ def walk(trie: PrefixTrie, p: int, cap: Optional[int] = None) -> Iterator[tuple[
     Consecutive nodes of a level are computed by one batched step, in
     blocks of at most WALK_BLOCK_BYTES of tables, and each block's children
     are walked before the next block: level 2 by _stage_two from the
-    parents' parts, deeper levels by _window_step from the parents' rows,
-    of which only those the next level reads are kept.  So the walk holds
-    one block of parents per level; at large p a block is one node and the
-    walk goes depth first.
+    parents' parts, deeper levels by _window_step from the slice of the
+    parent block's rows that spans the children's parents.  So the walk
+    holds one block of parents per level; at large p a block is one node
+    and the walk goes depth first.
     """
     depth = trie.depth
     lengths = [1] + [j * (p - 1) + 1 if cap is None else min(cap, j * (p - 1) + 1) for j in range(1, depth + 1)]
@@ -293,10 +271,6 @@ def walk(trie: PrefixTrie, p: int, cap: Optional[int] = None) -> Iterator[tuple[
         lo, hi = trie.first_child[j][a], trie.first_child[j][b]
         if lo == hi:
             return
-        row_of = trie.parent_row[j + 1]
-        fed = row_of[lo]  # rows[i] becomes the parent row fed + i
-        if j >= 2 and row_of[hi - 1] + 1 - fed < b - a:
-            rows = rows[trie.fed[j][fed : row_of[hi - 1] + 1] - a]  # the parents only
         block = max(1, WALK_BLOCK_BYTES // (8 * lengths[j + 1]))
         for c in range(lo, hi, block):
             d = min(c + block, hi)
@@ -305,10 +279,10 @@ def walk(trie: PrefixTrie, p: int, cap: Optional[int] = None) -> Iterator[tuple[
                 tables = None
             elif j == 1:  # stage 2 is an inverse power times the parent's cached window
                 tables = _stage_two(trie.part[1][trie.parent[2][c:d]], ks, p, lengths[2])
-            else:
-                first, last = row_of[c], row_of[d - 1] + 1
-                parents = None if last - first == d - c else row_of[c:d] - first
-                tables = _window_step(rows[first - fed : last - fed], p, ks, lengths[j + 1], parents)
+            else:  # the parents' rows, read in place; a single child needs no gather
+                parent = trie.parent[j + 1][c:d]
+                parents = None if d - c == 1 else parent - parent[0]
+                tables = _window_step(rows[parent[0] - a : parent[-1] + 1 - a], p, ks, lengths[j + 1], parents)
             yield from descend(j + 1, c, d, tables)
 
     yield from descend(0, 0, 1, np.ones((1, 1), dtype=np.int64))

@@ -73,7 +73,7 @@ from .evaluate import (
 )
 from .modular import ModPoly, ensure_prime, inverse_table, reduce_mod
 from .surjections import variant_expansion
-from .words import EMPTY, FormalSum, Index, concat, shuffle, star, stuffle
+from .words import EMPTY, FormalSum, Index, concat, star, stuffle
 
 
 class CorrectionTerm(NamedTuple):
@@ -271,7 +271,7 @@ def _accumulate(length: int, terms: Iterable[tuple[int, int, np.ndarray]], p: in
     One row of _fold, under its conditions and int64 bound.
     """
     rows = _fold(np.zeros((1, length), dtype=np.int64), ((0, c, o, t) for c, o, t in terms), p)
-    return ModPoly(p, rows[0])
+    return ModPoly._from_reduced(p, rows[0])
 
 
 @dataclass(frozen=True)

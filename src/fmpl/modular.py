@@ -19,8 +19,9 @@ powers of a primitive root, which a two-level table builds in about
 reduces coeffs.  Tables that a kernel has already reduced into [0, p) become
 polynomials through `ModPoly._from_reduced`, without a copy or a second
 reduction: the products of `ModPoly.__mul__`, evaluate's eval_fmp and
-eval_fmp_triple, and identities' eval_expression.  `ModPoly.text_chunks`
-gives str() of a polynomial in pieces, which the CLI writes one by one.
+eval_fmp_triple, and identities' eval_expression and _accumulate.
+`ModPoly.text_chunks` gives str() of a polynomial in pieces, which the CLI
+writes one by one.
 
 Array reductions go through `reduce_mod(x, p)`, which computes
 x - (x // p) * p in place.  numpy divides an int64 array by a scalar with
@@ -55,12 +56,17 @@ import numpy as np
 # Residues must fit a machine word so that a*b fits a signed 64-bit int.
 MAX_PRIME = 1 << 31
 
-_MR_BASES = (2, 3, 5, 7)  # deterministic for n < 3_215_031_751 > 2^31
+# Miller-Rabin bases, exact below each bound: 3,215,031,751 is the least
+# strong pseudoprime to (2, 3, 5, 7), and 318,665,857,834,031,151,167,461
+# > 2^64 the least to the twelve primes up to 37.
+_MR_BASES = ((3_215_031_751, (2, 3, 5, 7)), (1 << 64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)))
 
 
 @lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 2^31."""
+    """Deterministic primality test for every int n < 2^64 (False below 2); ValueError at or above 2^64."""
+    if n >= 1 << 64:
+        raise ValueError(f"is_prime is exact only below 2^64, got {n}")
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13):
@@ -72,7 +78,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in next(bases for bound, bases in _MR_BASES if n < bound):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -438,10 +444,10 @@ class ModPoly:
         """The polynomial of arr, an int64 array already in [0, p), for a p already checked.
 
         The producers of finished tables use this: eval_fmp, eval_fmp_triple,
-        __mul__ and eval_expression.  arr is made read-only and kept, not
-        copied, so the caller hands it over.  Trailing zeros are trimmed only
-        when the last entry is 0, and then the kept part is copied, so that
-        no long base array stays alive.
+        __mul__, eval_expression and _accumulate.  arr is made read-only and
+        kept, not copied, so the caller hands it over.  Trailing zeros are
+        trimmed only when the last entry is 0, and then the kept part is
+        copied, so that no long base array stays alive.
         """
         if len(arr) and arr[-1] == 0:
             nz = np.flatnonzero(arr)

@@ -78,6 +78,16 @@ def test_eval_rejects_composite_prime(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("p", ("3215031751", str(2**64)))
+def test_eval_rejects_primes_past_the_supported_range(capsys, p):
+    # 3215031751 is a strong pseudoprime to is_prime's small bases; 2^64 is past its domain
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "zeta", "-k", "1", "-p", p])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"{p} is not a prime in the supported range" in err and "Traceback" not in err
+
+
 def test_eval_out_of_memory_is_usage_error():
     # the tables at p = 2^31 - 1 need a 16 GiB array; the child alone may map 3 GiB
     limit = 3 << 30

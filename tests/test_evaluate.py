@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import indices_up_to, index_triples_up_to
 from fmpl import evaluate, modular
@@ -68,6 +70,54 @@ def walked_tables(trie, p, cap=None):
             assert trie.indices[i] not in out
             out[trie.indices[i]] = row
     return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.lists(st.integers(1, 4), max_size=5).map(Index), max_size=30))
+def test_prefix_trie_levels_are_the_sorted_prefixes(indices):
+    trie = PrefixTrie(indices)
+    assert trie.indices == sorted(indices)
+    leaf_of = {k: i for i, k in enumerate(trie.indices)}
+    nodes = [()]
+    for j in range(trie.depth + 1):
+        if j:  # each node is its parent's prefix plus its part
+            nodes = [nodes[i] + (k,) for i, k in zip(trie.parent[j].tolist(), trie.part[j].tolist())]
+        assert nodes == (sorted({k[:j] for k in indices if len(k) >= j}) if j else [()])
+        assert trie.leaf[j].tolist() == [leaf_of.get(q, -1) for q in nodes]
+        below = trie.parent[j + 1].tolist() if j < trie.depth else []
+        bounds = trie.first_child[j].tolist()
+        assert len(bounds) == len(nodes) + 1
+        for i in range(len(nodes)):
+            assert [c for c, up in enumerate(below) if up == i] == list(range(bounds[i], bounds[i + 1]))
+
+
+def test_walk_steps_a_parent_block_in_place(monkeypatch):
+    # at p = 13 level 2 is one block, in which the childless (2,1) lies
+    # between the parents (1,2) and (2,2): the step reads those three rows
+    # of the block in place and gathers the two parents for its children
+    p = 13
+    pool = [I(1, 1), I(1, 2, 1), I(2, 1), I(2, 2, 1)]
+    expected = {k: PartialSumTable.of(k, p).values for k in pool}
+    made, stepped = [], []
+    stage_two, step = evaluate._stage_two, evaluate._window_step
+
+    def recorded_stage_two(*args, **kwargs):
+        made.append(stage_two(*args, **kwargs))
+        return made[-1]
+
+    def recorded_step(prev, *args, **kwargs):
+        assert any(np.shares_memory(prev, table) for table in made), "the parent rows were copied"
+        stepped.append(len(prev))
+        made.append(step(prev, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(evaluate, "_stage_two", recorded_stage_two)
+    monkeypatch.setattr(evaluate, "_window_step", recorded_step)
+    walked = walked_tables(PrefixTrie(pool), p)
+    assert stepped == [3]
+    assert sorted(walked) == sorted(pool)
+    for k, table in walked.items():
+        assert np.array_equal(table, expected[k]), k
 
 
 @pytest.mark.parametrize("p", (2, 5, 13, 1009))
@@ -193,7 +243,7 @@ def test_zeta_sums_steps_only_the_heads_past_stage_two(monkeypatch, p):
     rows = _count_step_rows(monkeypatch)
     trie = PrefixTrie(indices_up_to(8, max_depth=5))
     values = zeta_sums(trie, p)
-    assert sum(rows) == sum(len(trie.fed[j]) for j in range(3, trie.depth)) > 0
+    assert sum(rows) == sum(len(set(trie.parent[j + 1].tolist())) for j in range(3, trie.depth)) > 0
     assert values.tolist() == [eval_zeta(k, p) for k in trie.indices]
 
 

@@ -39,6 +39,23 @@ def test_is_prime_small():
     assert is_prime(2**31 - 1)  # largest supported prime
 
 
+# strong pseudoprimes to the bases 2, 3, 5 and 7; the first is 151 * 751 * 28351
+PSEUDOPRIMES_2357 = (3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051)
+
+
+@pytest.mark.parametrize("n", PSEUDOPRIMES_2357)
+def test_is_prime_rejects_strong_pseudoprimes_to_the_small_bases(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_is_exact_below_two_to_the_64():
+    assert is_prime(3215031749) and is_prime(2**61 - 1) and is_prime(2**64 - 59)  # 2^64 - 59: largest below 2^64
+    assert not is_prime(2**64 - 1)
+    for n in (2**64, 2**64 + 13):
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            is_prime(n)
+
+
 def test_primes_in_range():
     assert primes_in_range(5, 20) == [5, 7, 11, 13, 17, 19]
     assert primes_in_range(8, 10) == []
