@@ -50,7 +50,6 @@ from .surjections import (
     variant_expansion,
 )
 from .evaluate import (
-    PartialSumTable,
     brute_force_fmp,
     brute_force_fmp_triple,
     brute_force_zeta_variant,

@@ -361,7 +361,6 @@ class PartialSumTable:
 @per_prime_cache
 def eval_zeta(k: Index, p: int) -> int:
     """The truncated multiple harmonic sum mod p; 1 for the empty index: the head's table, cut at p, dotted with a window's tail."""
-    ensure_prime(p)
     if not k:
         return 1
     head = PartialSumTable.of(k.head(), p, p).values[: p - 1]
@@ -376,14 +375,12 @@ def eval_fmp(k: Index, p: int) -> ModPoly:
     and not copied otherwise, except at depth 1, where the table is the
     cached inverse power: the memo counts each array once.
     """
-    ensure_prime(p)
     values = PartialSumTable.of(k, p).values
     return ModPoly._from_reduced(p, values.copy() if k.depth == 1 else values)
 
 
 def eval_zeta_variant(i: int, k: Index, p: int) -> int:
     """The variant whose last partial sum lies in ((i-1)p, ip): the head's polynomial dotted with a window slice."""
-    ensure_prime(p)
     r = k.depth
     if r < 1:
         raise ValueError("variant evaluation requires a nonempty index")
@@ -405,7 +402,6 @@ def eval_fmp_triple(lam: Index, mu: Index, nu: Index, p: int) -> ModPoly:
     every L_x, M_y and L_a + M_b + N_z, so L_a + M_b may be divisible by p.
     The exponent is the exact total sum.
     """
-    ensure_prime(p)
     fa, fb = eval_fmp(lam, p), eval_fmp(mu, p)
     if not fa or not fb:
         return ModPoly.zero(p)

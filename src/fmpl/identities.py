@@ -291,7 +291,7 @@ class _Plan:
     empty li index), ``tpow`` its T-power and ``depth`` its li depth, which
     put the end of its table at p * tpow + depth * (p - 1) + 1.
     ``groups_of[leaf]`` lists, for each leaf id of ``heads``, the groups
-    with that head; ``bare`` lists the groups of the empty li index.
+    with that head.
     """
 
     coefs: tuple[int, ...]
@@ -305,7 +305,6 @@ class _Plan:
     tpow: np.ndarray
     depth: np.ndarray
     groups_of: tuple[tuple[int, ...], ...]
-    bare: tuple[int, ...]
 
 
 @lru_cache(maxsize=1024)
@@ -323,12 +322,9 @@ def _plan(expr: CorrectionExpression) -> _Plan:
     part_pos = {b: i for i, b in enumerate(parts)}
     part_of = [part_pos[t.li_index[-1]] if t.li_index else -1 for t in groups]
     groups_of: list[list[int]] = [[] for _ in heads.indices]
-    bare = []
     for g, t in enumerate(groups):
         if t.li_index:
             groups_of[head_leaf[t.li_index.head()]].append(g)
-        else:
-            bare.append(g)
     return _Plan(
         coefs=tuple(coefs),
         coef_of=np.array(coef_of, dtype=np.intp),
@@ -341,7 +337,6 @@ def _plan(expr: CorrectionExpression) -> _Plan:
         tpow=np.array([t.tpow for t in groups], dtype=np.int64),
         depth=np.array([t.li_index.depth for t in groups], dtype=np.int64),
         groups_of=tuple(map(tuple, groups_of)),
-        bare=tuple(bare),
     )
 
 
@@ -380,10 +375,9 @@ def eval_expression(expr: CorrectionExpression, p: int) -> ModPoly:
         return ModPoly.zero(p)
     ends = plan.tpow * p + plan.depth * (p - 1) + 1
     out = np.zeros(int(ends[live].max()), dtype=np.int64)
+    bare = np.flatnonzero(live & (plan.part_of < 0))  # the live groups of the empty li index
+    out[p * plan.tpow[bare]] = scalars[bare]
     s, tpow = scalars.tolist(), plan.tpow.tolist()
-    for g in plan.bare:
-        if s[g]:
-            out[p * tpow[g]] = s[g]
     folded = live & (plan.part_of >= 0)
     if folded.any():
         widths = np.zeros(len(plan.parts), dtype=np.int64)
@@ -425,8 +419,7 @@ def eval_formal_sum_zeta(fs: FormalSum, p: int) -> int:
     return sum(c * zeta[k] for k, c in coefs) % p
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one per-prime check: ok plus a human-readable detail."""
 
     ok: bool
@@ -487,11 +480,10 @@ def pfd_check(alpha: int, beta: int, p: int) -> CheckResult:
     1/Y^(beta-tau), at the cached inverse-power tables and steps them by one
     factor per tau, 1/Z or Y: O(p) memory and O((alpha+beta) p) work.
     """
-    ensure_prime(p)
     if alpha < 1 or beta < 1:
         raise ValueError("exponents must be positive")
+    inv_z = inverse_table(p)[2:]  # the first table, whose memo checks p
     y = np.arange(1, p - 1, dtype=np.int64)
-    inv_z = inverse_table(p)[2:]
     lhs = _inv_powers(beta, p)[1 : p - 1]
     rhs = np.zeros(p - 2, dtype=np.int64)
     for coefs, z_power, y_power in (
@@ -523,7 +515,6 @@ def verify_eq7(lam: Index, mu: Index, nu: Index, p: int) -> CheckResult:
     """
     if lam == EMPTY or mu == EMPTY:
         raise ValueError("recursion step requires nonempty first and second blocks")
-    ensure_prime(p)
     lhs = eval_fmp_triple(lam, mu, nu, p)
     a, b = lam.depth, mu.depth
     la, mb = lam[-1], mu[-1]

@@ -33,13 +33,15 @@ is the same as ``x % p`` on either sign.
 
 Tables that depend on a prime (the inverse table here, and evaluate's
 inverse-power and polynomial tables) are memoized by `per_prime_cache`,
-which keeps the tables of the prime in use only.  Each prime frees the
-previous prime's tables and builds tables of about the same sizes.  Left
-to its dynamic thresholds, glibc's malloc would trim the freed heap top
-and mmap the larger tables afresh: on a 2-core x86-64 machine with glibc
-2.36, `run_sweep("main", (2,1) x (3), 5..3000, jobs=1)` took 22,140 minor
-page faults.  So importing this module fixes M_MMAP_THRESHOLD at 32 MiB
-and M_TRIM_THRESHOLD at 64 MiB, and that sweep takes about 270.
+which keeps the tables of the prime in use only.  It is the one gate for
+p: it checks p (`ensure_prime`) before it builds or frees anything.  Each
+prime frees the previous prime's tables and builds tables of about the
+same sizes.  Left to its dynamic thresholds, glibc's malloc would trim the
+freed heap top and mmap the larger tables afresh: on a 2-core x86-64
+machine with glibc 2.36, `run_sweep("main", (2,1) x (3), 5..3000, jobs=1)`
+took 22,140 minor page faults.  So importing this module fixes
+M_MMAP_THRESHOLD at 32 MiB and M_TRIM_THRESHOLD at 64 MiB, and that sweep
+takes about 270.
 """
 
 from __future__ import annotations
@@ -215,11 +217,13 @@ def per_prime_cache(fn: Callable) -> Callable:
 
     All decorated functions share one memo of the prime in use, the prime of
     the latest call, keyed by (fn, the arguments); its tables are kept however
-    large.  A call at another prime frees them and starts afresh: a return to
-    an earlier prime recomputes.  A call that raises caches nothing.  As with
-    lru_cache, the wrapper has cache_info(), counting this function's hits and
-    misses and its entries at the prime in use in currsize (maxsize is None),
-    and cache_clear(), which removes those entries and the counts.
+    large.  A call at another prime checks p (ensure_prime) before it builds
+    or frees anything, so a rejected p leaves the memo as it was; else it
+    frees the tables and starts afresh: a return to an earlier prime
+    recomputes.  A call that raises caches nothing.  As with lru_cache, the
+    wrapper has cache_info(), counting this function's hits and misses and
+    its entries at the prime in use in currsize (maxsize is None), and
+    cache_clear(), which removes those entries and the counts.
     """
     hits = misses = 0
 
@@ -228,6 +232,7 @@ def per_prime_cache(fn: Callable) -> Callable:
         nonlocal hits, misses
         tables, p, key = _TABLES, args[-1], (fn, args)
         if p != tables.current:
+            ensure_prime(p)
             tables.enter(p)
         value = tables.entries.get(key, _MISSING)
         if value is not _MISSING:
@@ -430,33 +435,33 @@ class ModPoly:
         Tables that a kernel has already reduced go through _from_reduced.
         """
         ensure_prime(p)
-        arr = reduce_mod(np.array(coeffs, dtype=np.int64), p)
-        nz = np.flatnonzero(arr)
-        n = nz[-1] + 1 if len(nz) else 0
-        if n < len(arr):
-            arr = arr[:n].copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", arr)
+        self._keep(p, reduce_mod(np.array(coeffs, dtype=np.int64), p))
 
     @classmethod
     def _from_reduced(cls, p: int, arr: np.ndarray) -> "ModPoly":
         """The polynomial of arr, an int64 array already in [0, p), for a p already checked.
 
         The producers of finished tables use this: eval_fmp, eval_fmp_triple,
-        __mul__, eval_expression and _accumulate.  arr is made read-only and
-        kept, not copied, so the caller hands it over.  Trailing zeros are
-        trimmed only when the last entry is 0, and then the kept part is
-        copied, so that no long base array stays alive.
+        __mul__, eval_expression and _accumulate.  It skips __init__'s check
+        and copy, and takes only the step __init__ ends with, _keep, so the
+        caller hands arr over.
+        """
+        poly = object.__new__(cls)
+        poly._keep(p, arr)
+        return poly
+
+    def _keep(self, p: int, arr: np.ndarray) -> None:
+        """Set p, and arr as the coefficients: trimmed of trailing zeros and made read-only.
+
+        arr is kept, not copied, unless its last entry is 0: then the
+        trimmed part is copied, so that no long base array stays alive.
         """
         if len(arr) and arr[-1] == 0:
             nz = np.flatnonzero(arr)
             arr = arr[: nz[-1] + 1 if len(nz) else 0].copy()
         arr.flags.writeable = False
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "p", p)
-        object.__setattr__(poly, "coeffs", arr)
-        return poly
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coeffs", arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("ModPoly is immutable")

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .identities import (
-    CheckResult,
     pfd_check,
     verify_eq7,
     verify_li_at_one,
@@ -146,13 +145,14 @@ class Check:
 
     ``params`` lists each parameter's name and type (``Index``, or ``int``
     for a positive integer) in call order; the check runs as
-    ``run(*args, p)``.  ``validate(*args)`` raises ValueError for parameters
+    ``run(*args, p)`` and returns a pair (ok, detail), such as a
+    CheckResult.  ``validate(*args)`` raises ValueError for parameters
     outside what the check supports, beyond what ``checked_args`` checks of
     every check.  Where ``bound`` is given, the identity is claimed only for
     primes p > ``bound(*args)``, the quantity that ``bound_text`` names.
     """
 
-    run: Callable[..., CheckResult]
+    run: Callable[..., tuple[bool, Optional[str]]]
     params: tuple[tuple[str, type], ...]
     validate: Callable[..., None] = lambda *args: None
     bound: Optional[Callable[..., int]] = None
@@ -189,7 +189,7 @@ CHECKS: dict[str, Check] = {
     "prop24": Check(verify_prop24, (("i", int), ("k", Index)), _validate_prop24),
     "stuffle": Check(verify_stuffle, (("l", Index), ("r", Index))),
     "pfd": Check(pfd_check, (("alpha", int), ("beta", int))),
-    "bijection": Check(lambda r, p: CheckResult(*bijection_roundtrip(r, p)), (("r", int),), _validate_bijection),
+    "bijection": Check(bijection_roundtrip, (("r", int),), _validate_bijection),
     "reversal": Check(verify_reversal, (("k", Index),), _nonempty_k("reversal")),
     "li-at-1": Check(
         verify_li_at_one,
@@ -221,12 +221,10 @@ def run_one(check: str, params: dict, p: int) -> PrimeOutcome:
     if entry.bound is not None and p <= (bound := entry.bound(*args)):
         return PrimeOutcome(p, SKIP, f"outside the domain p > {entry.bound_text} = {bound}")
     try:
-        result = entry.run(*args, p)
+        ok, detail = entry.run(*args, p)
     except Exception as exc:
         return PrimeOutcome(p, ERROR, f"{type(exc).__name__}: {exc}")
-    if result.ok:
-        return PrimeOutcome(p, PASS, result.detail)
-    return PrimeOutcome(p, FAIL, result.detail)
+    return PrimeOutcome(p, PASS if ok else FAIL, detail)
 
 
 def _run_chunk(check: str, params: dict, primes: list[int]) -> list[PrimeOutcome]:

@@ -78,6 +78,13 @@ def test_eval_rejects_composite_prime(capsys):
     assert exc.value.code == 2
 
 
+def test_eval_rejects_a_modulus_that_is_not_an_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "fmp", "-k", "1", "-p", "abc"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "'abc'" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("p", ("3215031751", str(2**64)))
 def test_eval_rejects_primes_past_the_supported_range(capsys, p):
     # 3215031751 is a strong pseudoprime to is_prime's small bases; 2^64 is past its domain

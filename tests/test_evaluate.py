@@ -23,6 +23,7 @@ from fmpl.evaluate import (
     walk,
     zeta_sums,
 )
+from fmpl.identities import pfd_check, verify_eq7
 from fmpl.modular import ModPoly, inverse_table
 from fmpl.words import EMPTY, Index, concat
 
@@ -47,19 +48,41 @@ def test_eval_zeta_rejects_composite_modulus():
         eval_zeta(I(1), 6)
 
 
-@pytest.mark.parametrize("n", (4, 6, 561))
-def test_evaluators_reject_composite_modulus_on_every_call(n):
-    # the primality result is cached; a cached "no" must still raise
-    calls = (
+def calls_at(n):
+    """A call of each evaluator, and of each check that builds tables, at modulus n."""
+    return (
         lambda: eval_zeta(I(1), n),
         lambda: eval_fmp(I(1), n),
         lambda: eval_zeta_variant(1, I(1), n),
         lambda: eval_fmp_triple(I(1), I(1), I(1), n),
+        lambda: inverse_table(n),
+        lambda: pfd_check(1, 1, n),
+        lambda: verify_eq7(I(1), I(1), I(1), n),
     )
+
+
+@pytest.mark.parametrize("n", (4, 6, 561))
+def test_evaluators_reject_composite_modulus_on_every_call(n):
+    # the primality result is cached; a cached "no" must still raise
     for _ in range(2):
-        for call in calls:
+        for call in calls_at(n):
             with pytest.raises(ValueError, match="not a prime"):
                 call()
+
+
+def test_a_rejected_modulus_leaves_the_memo_as_it_was(monkeypatch):
+    monkeypatch.setattr(modular, "_TABLES", modular._PrimeTables())
+    eval_fmp(I(2, 1), 101)
+    entries = dict(modular._TABLES.entries)
+    for n in (4, 6, 561):
+        with pytest.raises(ValueError, match="not a prime"):
+            eval_fmp(I(2, 1), n)
+        for call in calls_at(n):
+            with pytest.raises(ValueError, match="not a prime"):
+                call()
+        assert modular._TABLES.current == 101
+        assert modular._TABLES.entries.keys() == entries.keys()
+        assert all(modular._TABLES.entries[key] is value for key, value in entries.items())
 
 
 def walked_tables(trie, p, cap=None):
