@@ -12,7 +12,8 @@ import os as _os
 # numpy's bundled OpenBLAS starts one worker thread per extra core when
 # numpy loads, and they spin for a while, yet fmpl calls no BLAS routine:
 # its products are np.fft and np.convolve on int64, the rest elementwise
-# (tests/test_blas.py keeps it so).  On a 2-core x86-64 machine that thread
+# integer arithmetic on tables in p's word (modular's width rule;
+# tests/test_blas.py keeps it so).  On a 2-core x86-64 machine that thread
 # cost each fmpl process 70-150 ms of CPU time, and a process that only
 # imports and parses 70 ms of wall time.  So numpy loads with one BLAS
 # thread, unless the caller set OPENBLAS_NUM_THREADS, which then wins;

@@ -25,10 +25,11 @@ level in blocks of WALK_BLOCK_BYTES (walk).  The per-prime tables
 eval_fmp_triple) are memoized for the prime in use by
 modular.per_prime_cache.  A single index's final table is kept once, as
 eval_fmp's coefficients, which ModPoly._from_reduced takes without a copy
-(a depth-1 table, the cached inverse power, is copied).  All arithmetic is
-exact, within the int64 bounds that _window_step, _stage_two and _dot_mod
-state.  The literal-loop oracles at the bottom share no code with the
-kernels.
+(a depth-1 table, the cached inverse power, is copied).  Every table is
+in word(p), and all arithmetic is exact, within the bounds against that
+word's maximum that _window_step, _stage_two and _dot_mod state (see
+modular's width rule).  The literal-loop oracles at the bottom share no
+code with the kernels.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .modular import ModPoly, ensure_prime, inverse_table, mul_mod, per_prime_cache, reduce_mod
+from .modular import WORD_MAX, ModPoly, ensure_prime, inverse_table, mul_mod, per_prime_cache, reduce_mod, word
 from .words import EMPTY, Index
 
 BRUTE_FORCE_MAX_DEPTH = 4
@@ -74,14 +75,15 @@ def _inv_window(b: int, p: int) -> np.ndarray:
     """Read-only w_b[n] = sum of inv(n')^b over 0 < n' < p, n - p < n' < n, mod p, for n <= 2p - 2.
 
     In place, with no second array: w_b[n] = P(n), the prefix sum of inv^b
-    below n, for n <= p (one cumsum; each is below (p - 1)^2), reduced with
-    the tail as scratch; then the tail, w_b[p + j] = P(p) - P(j + 1).
+    below n, for n <= p (one cumsum; each is at most (p - 1)^2, which the
+    word holds), reduced with the tail as scratch; then the tail,
+    w_b[p + j] = P(p) - P(j + 1).
     """
     inv = _inv_powers(b, p)
-    w = np.empty(2 * p - 1, dtype=np.int64)
+    w = np.empty(2 * p - 1, dtype=inv.dtype)
     w[0] = 0
     w[1 : p + 1] = inv
-    np.cumsum(w[: p + 1], out=w[: p + 1])
+    np.cumsum(w[: p + 1], out=w[: p + 1], dtype=w.dtype)
     head, tail = w[: p - 2], w[p + 1 :]
     np.floor_divide(head, p, out=tail)
     tail *= p
@@ -124,19 +126,20 @@ def _window_step(
     so a short table such as [1] still feeds every 0 < n < p; they are
     formed once per row of prev and gathered for the rows of the result.
 
-    int64 bound: prev lies in [0, p), so a window sum is at most (p - 1)^2
-    and times an inverse power at most (p - 1)^3, < 2^63 for p <= 2^21, and
-    the product is reduced once.  Above, the window sums are reduced first,
-    and the product is < p^2 < 2^62 for p < MAX_PRIME = 2^31.
+    Bound, against the maximum M of word(p): prev lies in [0, p), so a
+    window sum is at most (p - 1)^2, which the word holds, and times an
+    inverse power at most (p - 1)^3.  Where that is at most M (p <= 1291 in
+    int32, p < 2^21 in int64) the product is reduced once; above, the
+    window sums are reduced first, and the product is one of two residues.
     """
     rows = -(-length // p)
-    d = np.empty((len(prev), rows * p), dtype=np.int64)
+    d = np.empty((len(prev), rows * p), dtype=word(p))
     d[:, 0] = 0
     d[:, 1 : prev.shape[1] + 1] = prev[:, : rows * p - 1]
     d[:, prev.shape[1] + 1 :] = 0
     d[:, p : p + prev.shape[1]] -= prev[:, : rows * p - p]
-    np.cumsum(d, axis=1, out=d)
-    if (p - 1) ** 3 >= 1 << 63:
+    np.cumsum(d, axis=1, out=d, dtype=d.dtype)
+    if (p - 1) ** 3 > WORD_MAX[d.dtype]:
         reduce_mod(d, p)
     if parents is not None:
         d = d[parents]
@@ -147,10 +150,10 @@ def _window_step(
 def _stage_two(firsts: np.ndarray, ks: Sequence[int], p: int, length: int) -> np.ndarray:
     """Row r: the stage-2 table inv(n)^ks[r] * w_firsts[r][n] mod p of (firsts[r], ks[r]), n < length <= 2p - 1.
 
-    int64 bound: both factors lie in [0, p), so each product is < p^2 and
-    is reduced once.
+    Bound: both factors lie in [0, p), so each product is one of two
+    residues, which word(p) holds, and is reduced once.
     """
-    d = np.empty((len(ks), -(-length // p) * p), dtype=np.int64)
+    d = np.empty((len(ks), -(-length // p) * p), dtype=word(p))
     d[:, length:] = 0
     for a in set(firsts.tolist()):
         d[firsts == a, :length] = _inv_window(a, p)[:length]
@@ -161,14 +164,16 @@ def _stage_two(firsts: np.ndarray, ks: Sequence[int], p: int, length: int) -> np
 def _dot_mod(tables: np.ndarray, weights: np.ndarray, p: int) -> np.ndarray:
     """sum_n tables[..., n] * weights[n] mod p along the last axis, for at most 2p - 1 terms.
 
-    int64 bound: entries and weights lie in [0, p), so a sum of 2p - 1
-    products is at most (2p - 1)(p - 1)^2, < 2^63 for p <= 1,664,511.  At
-    larger p the products are reduced first, and their sum is < 2p^2.
+    Bound: entries and weights lie in [0, p), so each product is one of
+    two residues, which word(p) holds, and the products are summed in
+    int64: a sum of 2p - 1 of them is at most (2p - 1)(p - 1)^2, < 2^63
+    for p <= 1,664,511.  At larger p the products are reduced first, and
+    their sum is < 2p^2.
     """
     products = tables * weights
     if (2 * p - 1) * (p - 1) ** 2 >= 1 << 63:
         reduce_mod(products, p)
-    return products.sum(axis=-1) % p
+    return products.sum(axis=-1, dtype=np.int64) % p
 
 
 class PrefixTrie:
@@ -244,7 +249,7 @@ def walk(trie: PrefixTrie, p: int, cap: Optional[int] = None) -> Iterator[tuple[
     holds one block of parents per level; at large p a block is one node
     and the walk goes depth first.
     """
-    depth = trie.depth
+    depth, itemsize = trie.depth, word(p).itemsize
     lengths = [1] + [j * (p - 1) + 1 if cap is None else min(cap, j * (p - 1) + 1) for j in range(1, depth + 1)]
 
     def descend(j: int, a: int, b: int, rows: Optional[np.ndarray]):
@@ -271,7 +276,7 @@ def walk(trie: PrefixTrie, p: int, cap: Optional[int] = None) -> Iterator[tuple[
         lo, hi = trie.first_child[j][a], trie.first_child[j][b]
         if lo == hi:
             return
-        block = max(1, WALK_BLOCK_BYTES // (8 * lengths[j + 1]))
+        block = max(1, WALK_BLOCK_BYTES // (itemsize * lengths[j + 1]))
         for c in range(lo, hi, block):
             d = min(c + block, hi)
             ks = trie.part[j + 1][c:d]
@@ -285,7 +290,7 @@ def walk(trie: PrefixTrie, p: int, cap: Optional[int] = None) -> Iterator[tuple[
                 tables = _window_step(rows[parent[0] - a : parent[-1] + 1 - a], p, ks, lengths[j + 1], parents)
             yield from descend(j + 1, c, d, tables)
 
-    yield from descend(0, 0, 1, np.ones((1, 1), dtype=np.int64))
+    yield from descend(0, 0, 1, np.ones((1, 1), dtype=word(p)))
 
 
 def zeta_sums(trie: PrefixTrie, p: int) -> np.ndarray:
@@ -300,7 +305,7 @@ def zeta_sums(trie: PrefixTrie, p: int) -> np.ndarray:
     if trie.indices and not trie.indices[0]:
         out[0] = 1  # the empty index sorts first
     for b, i in singles:  # zeta((b)) = w_b[p], the sum of inv^b: no window is built for it
-        out[i] = int(_inv_powers(b, p).sum()) % p
+        out[i] = int(_inv_powers(b, p).sum(dtype=np.int64)) % p
     row_of = np.full(len(heads.indices), -1, dtype=np.intp)
     for leaves, tables in walk(heads, p, p):
         row_of[leaves] = np.arange(len(leaves))
@@ -338,7 +343,7 @@ class PartialSumTable:
         Stage 1 is the cached inverse-power table itself, not a copy.
         """
         if k.depth == 0:
-            return cls(p, 0, np.ones(1, dtype=np.int64), cap)
+            return cls(p, 0, np.ones(1, dtype=word(p)), cap)
         table = cls(p, 1, _inv_powers(k[0], p), cap, k[0])
         for kj in k[1:]:
             table = table.advanced(kj)

@@ -41,9 +41,9 @@ linear and commutes with T^p, since inv(n) depends only on n mod p, so
 
 exactly.  Each head table is added times its group scalars into its
 part's row, and each row takes one window step; eval_expression gives the
-length rule.  _fold is the one int64 accumulator of scalar * T^offset *
-table terms, and states its bound; verify_eq7's right side is summed in
-one row of it (_accumulate).
+length rule.  _fold is the one accumulator of scalar * T^offset * table
+terms, in word(p) rows (modular's width rule), and states its bound;
+verify_eq7's right side is summed in one row of it (_accumulate).
 
 The verify_* functions compare two independently computed F_p (or
 F_p[T]) values and report the first difference.
@@ -71,7 +71,7 @@ from .evaluate import (
     walk,
     zeta_sums,
 )
-from .modular import ModPoly, ensure_prime, inverse_table, reduce_mod
+from .modular import WORD_MAX, ModPoly, ensure_prime, inverse_table, reduce_mod, word
 from .surjections import variant_expansion
 from .words import EMPTY, FormalSum, Index, concat, star, stuffle
 
@@ -244,34 +244,42 @@ def term_product(t1: CorrectionTerm, t2: CorrectionTerm) -> CorrectionExpression
     return CorrectionExpression(out)
 
 
-def _fold(rows: np.ndarray, adds: Iterable[tuple[int, int, int, np.ndarray]], p: int) -> np.ndarray:
-    """Add scalar * T^offset * table into row r of rows for each (r, scalar, offset, table).
+def _fold(rows: list[np.ndarray], adds: Iterable[tuple[int, int, int, np.ndarray]], p: int) -> list[np.ndarray]:
+    """Add scalar * T^offset * table into rows[r] for each (r, scalar, offset, table).
 
-    rows start in [0, p); every scalar and table entry lies in [0, p), and
-    each offset + len(table) is at most the width of rows.  Returns rows,
-    reduced into [0, p) in place.  int64 bound: each add puts at most
-    (p - 1)^2 < p^2 into an entry, so an entry below p can take
-    budget = (2^63 - p) // (p - 1)^2 adds before it could reach 2^63 (2 at
-    p = 2^31 - 1, about 3.7e11 at p = 5000).  All rows are reduced after
-    every budget adds, so no row takes more between reductions, and again
-    at the end, since the window step that follows needs entries in [0, p).
+    rows are arrays of one type, each in [0, p) and of its own length;
+    every scalar and table entry lies in [0, p), and each offset +
+    len(table) is at most len(rows[r]).  Returns rows, reduced into [0, p)
+    in place.  Bound, against the maximum M of the rows' type: each add
+    puts at most (p - 1)^2 into an entry, so an entry below p can take
+    budget = (M - p) // (p - 1)^2 adds before it could pass M (1 at
+    p = 46,337 in int32, 2 at p = 2^31 - 1 in int64, about 85 at p = 5003
+    in int32).  A row is reduced after every budget adds into it, and all
+    rows again at the end, since the window step that follows needs
+    entries in [0, p).
     """
-    budget = ((1 << 63) - p) // max(1, (p - 1) ** 2)
-    for n, (r, scalar, offset, table) in enumerate(adds, 1):
-        seg = rows[r, offset : offset + len(table)]
+    budget = (WORD_MAX[rows[0].dtype] - p) // max(1, (p - 1) ** 2)
+    count = [0] * len(rows)
+    for r, scalar, offset, table in adds:
+        row = rows[r]
+        seg = row[offset : offset + len(table)]
         seg += table * scalar
-        if n % budget == 0:
-            reduce_mod(rows, p)
-    return reduce_mod(rows, p)
+        count[r] += 1
+        if count[r] == budget:
+            reduce_mod(row, p)
+            count[r] = 0
+    for row in rows:
+        reduce_mod(row, p)
+    return rows
 
 
 def _accumulate(length: int, terms: Iterable[tuple[int, int, np.ndarray]], p: int) -> ModPoly:
     """The sum of scalar * T^offset * table over (scalar, offset, table) in F_p[T].
 
-    One row of _fold, under its conditions and int64 bound.
+    One word(p) row of _fold, under its conditions and bound.
     """
-    rows = _fold(np.zeros((1, length), dtype=np.int64), ((0, c, o, t) for c, o, t in terms), p)
-    return ModPoly._from_reduced(p, rows[0])
+    (row,) = _fold([np.zeros(length, dtype=word(p))], ((0, c, o, t) for c, o, t in terms), p)
+    return ModPoly._from_reduced(p, row)
 
 
 @dataclass(frozen=True)
@@ -353,12 +361,16 @@ def eval_expression(expr: CorrectionExpression, p: int) -> ModPoly:
     the identity in the module docstring, which is exact because W_b is
     linear and commutes with T^p (inv(n) depends only on n mod p).  One
     walk of the head trie gives every head table, which
-    _fold adds times its group scalars into b's row at offset p t_g.  Each
-    add is below p^2; a row is reduced before its adds could reach 2^63,
-    and all rows are reduced below p, as the window step needs.  The rows
-    are advanced by _window_step in blocks of at most WALK_BLOCK_BYTES of
-    output, so memory at large p is the part rows plus one block; each
-    block's stepped rows are summed into the result, which is then reduced.
+    _fold adds times its group scalars into b's row at offset p t_g.  The
+    rows and the result are word(p) arrays, and _fold keeps each row within
+    the word's maximum and reduces all rows below p, as the window step
+    needs.  The rows are advanced by _window_step in blocks of at most
+    WALK_BLOCK_BYTES of output, stacked only for their block, so memory at
+    large p is the part rows plus one block.  Each block's stepped rows
+    are summed into the result in the word, which is then reduced: a block
+    of two or more rows has block * p < WALK_BLOCK_BYTES, so a sum of one
+    entry below p from each row and the result's entry cannot pass the
+    word's maximum.
     Length rule: b's row is as wide as max(p t_g + dep(head)(p - 1)
     + 1) over its live groups, so its step ends at p t_g + dep(k_g)(p - 1)
     + 1, where that group's own table would end.
@@ -373,8 +385,9 @@ def eval_expression(expr: CorrectionExpression, p: int) -> ModPoly:
     live = scalars != 0
     if not live.any():
         return ModPoly.zero(p)
+    dtype = word(p)
     ends = plan.tpow * p + plan.depth * (p - 1) + 1
-    out = np.zeros(int(ends[live].max()), dtype=np.int64)
+    out = np.zeros(int(ends[live].max()), dtype=dtype)
     bare = np.flatnonzero(live & (plan.part_of < 0))  # the live groups of the empty li index
     out[p * plan.tpow[bare]] = scalars[bare]
     s, tpow = scalars.tolist(), plan.tpow.tolist()
@@ -384,8 +397,8 @@ def eval_expression(expr: CorrectionExpression, p: int) -> ModPoly:
         np.maximum.at(widths, plan.part_of[folded], ends[folded] - (p - 1))
         active = widths > 0
         row_of = (np.cumsum(active) - 1)[plan.part_of].tolist()  # a live group's row
-        parts, widths = plan.parts[active], widths[active]
-        rows = np.zeros((len(parts), int(widths.max())), dtype=np.int64)
+        parts, widths = plan.parts[active], widths[active].tolist()
+        rows = [np.zeros(width, dtype=dtype) for width in widths]
 
         def adds():
             for leaves, tables in walk(plan.heads, p):
@@ -395,12 +408,19 @@ def eval_expression(expr: CorrectionExpression, p: int) -> ModPoly:
                             yield row_of[g], s[g], p * tpow[g], table
 
         _fold(rows, adds(), p)
-        block = max(1, WALK_BLOCK_BYTES // (8 * (rows.shape[1] + p - 1)))
+        block = max(1, WALK_BLOCK_BYTES // (dtype.itemsize * (max(widths) + p - 1)))
         for c in range(0, len(rows), block):
-            width = int(widths[c : c + block].max())
-            stepped = _window_step(rows[c : c + block, :width], p, parts[c : c + block], width + p - 1)
+            group, width = rows[c : c + block], max(widths[c : c + block])
+            if len(group) == 1:
+                stacked = group[0][None]
+            else:
+                stacked = np.zeros((len(group), width), dtype=dtype)
+                for i, row in enumerate(group):
+                    stacked[i, : len(row)] = row
+            stepped = _window_step(stacked, p, parts[c : c + block], width + p - 1)
             seg = out[: width + p - 1]
-            seg += stepped.sum(axis=0)
+            seg += stepped[0] if len(stepped) == 1 else stepped.sum(axis=0, dtype=dtype)
+            del stepped  # the block's tables, freed before reduce_mod makes its temporary
             reduce_mod(seg, p)
     return ModPoly._from_reduced(p, out)
 
@@ -475,7 +495,8 @@ def pfd_check(alpha: int, beta: int, p: int) -> CheckResult:
     Every term is homogeneous of degree -(alpha+beta) in (X, Y), so the
     identity holds at (X, Y) iff it holds at (1, Y/X), and it holds
     everywhere iff it holds on the row X = 1, Y = 1 .. p-2 (Y = p-1 makes
-    X + Y zero).  The row is an int64 array over Y with Z = Y + 1.  Each
+    X + Y zero).  The row is a word(p) array over Y with Z = Y + 1, and
+    every product in it is one of two residues.  Each
     sum starts its powers 1/Z^(alpha+tau) or 1/Z^(beta+tau), and
     1/Y^(beta-tau), at the cached inverse-power tables and steps them by one
     factor per tau, 1/Z or Y: O(p) memory and O((alpha+beta) p) work.
@@ -483,9 +504,9 @@ def pfd_check(alpha: int, beta: int, p: int) -> CheckResult:
     if alpha < 1 or beta < 1:
         raise ValueError("exponents must be positive")
     inv_z = inverse_table(p)[2:]  # the first table, whose memo checks p
-    y = np.arange(1, p - 1, dtype=np.int64)
+    y = np.arange(1, p - 1, dtype=inv_z.dtype)
     lhs = _inv_powers(beta, p)[1 : p - 1]
-    rhs = np.zeros(p - 2, dtype=np.int64)
+    rhs = np.zeros(p - 2, dtype=inv_z.dtype)
     for coefs, z_power, y_power in (
         (_binomials_mod(alpha - 1, beta, p), _inv_powers(alpha, p)[2:].copy(), lhs.copy()),
         (_binomials_mod(beta - 1, alpha, p), _inv_powers(beta, p)[2:].copy(), None),

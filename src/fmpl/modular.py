@@ -1,8 +1,9 @@
 """Exact arithmetic over prime fields and dense polynomials in F_p[T].
 
 Field elements are plain ints in ``[0, p-1]``; polynomials store a dense
-int64 coefficient array indexed by exponent.  All values are immutable
-after construction, so they can be shared freely across sweep workers.
+coefficient array in p's word (below), indexed by exponent.  All values
+are immutable after construction, so they can be shared freely across
+sweep workers.
 Every polynomial product goes through `mul_mod`, which is exact for every
 p < MAX_PRIME and every length: short products run ``np.convolve``, long
 ones a floating-point FFT whose rounding error is bounded below 1/2.  Each
@@ -23,13 +24,25 @@ eval_fmp_triple, and identities' eval_expression and _accumulate.
 `ModPoly.text_chunks` gives str() of a polynomial in pieces, which the CLI
 writes one by one.
 
+The width rule.  Every table that depends on p holds residues below p in
+`word(p)`, the narrowest integer type in which the product of two residues
+is exact: int32 while (p - 1)^2 <= 2^31 - 1, that is for p <= 46,337, and
+int64 above.  Each kernel writes its bound once, against the maximum of its
+table's type (WORD_MAX): where a sum or product could pass it, the kernel
+reduces first (evaluate's _window_step), sums in int64 (_dot_mod,
+ModPoly.evaluate, mul_mod's np.convolve) or counts its adds (identities'
+_fold).  Narrower words halve the memory traffic: on a 2-core x86-64
+machine with numpy 2.4, reduce_mod took 0.50 ns per element in int32 and
+1.2-1.3 ns in int64 at p = 7919 and 15013, and a product 0.14 ns against
+0.29-0.33 ns (arrays of 2^16 entries, best of 7).
+
 Array reductions go through `reduce_mod(x, p)`, which computes
-x - (x // p) * p in place.  numpy divides an int64 array by a scalar with
-libdivide, so this costs about 1.9 ns per element at p = 7919, where `%`
-costs 4.3 ns on non-negative values and 12 ns on mixed signs.  Its
-precondition is |x| < 2^62, or 0 <= x < 2^63: then (x // p) * p lies
-within p of x, on the same side of 0, and cannot overflow, and the result
-is the same as ``x % p`` on either sign.
+x - (x // p) * p in place.  numpy divides an integer array by a scalar
+with libdivide, where `%` cost 4.3 ns per element on non-negative int64
+values and 12 ns on mixed signs.  Its precondition, for a type whose
+maximum is M: |x| <= M // 2, or 0 <= x <= M.  Then (x // p) * p lies within
+p of x, on the same side of 0, and cannot overflow, and the result is the
+same as ``x % p`` on either sign.
 
 Tables that depend on a prime (the inverse table here, and evaluate's
 inverse-power and polynomial tables) are memoized by `per_prime_cache`,
@@ -57,6 +70,10 @@ import numpy as np
 
 # Residues must fit a machine word so that a*b fits a signed 64-bit int.
 MAX_PRIME = 1 << 31
+
+_INT32, _INT64 = np.dtype(np.int32), np.dtype(np.int64)
+# The largest value of each word, by type; the kernels' bounds are written against it.
+WORD_MAX = {_INT32: (1 << 31) - 1, _INT64: (1 << 63) - 1}
 
 # Miller-Rabin bases, exact below each bound: 3,215,031,751 is the least
 # strong pseudoprime to (2, 3, 5, 7), and 318,665,857,834,031,151,167,461
@@ -153,11 +170,17 @@ def primitive_root(p: int) -> int:
     return g
 
 
-def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """Reduce the int64 array x into [0, p) in place, and return it.
+def word(p: int) -> np.dtype:
+    """The type of p's tables: int32 where (p - 1)^2 fits it (p <= 46,337), else int64; see the module docstring."""
+    return _INT32 if (p - 1) ** 2 <= WORD_MAX[_INT32] else _INT64
 
-    Computes x - (x // p) * p, equal to x % p for |x| < 2^62, or
-    0 <= x < 2^63 (see the module docstring); x may be a view.
+
+def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Reduce the signed integer array x into [0, p) in place, and return it.
+
+    Computes x - (x // p) * p, equal to x % p for |x| <= M // 2, or
+    0 <= x <= M, with M the maximum of x's type (see the module docstring);
+    x may be a view.
     """
     q = x // p
     q *= p
@@ -166,10 +189,11 @@ def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _power_table(t: int, n: int, p: int) -> np.ndarray:
-    """The int64 array of t^e mod p for 0 <= e < n, given 0 <= t < p and n >= 1.
+    """The word(p) array of t^e mod p for 0 <= e < n, given 0 <= t < p and n >= 1.
 
     A two-level table, t^(m i + j) = t^(m i) * t^j with m = isqrt(n - 1) + 1,
-    takes about 2 sqrt(n) Python steps; each product is < p^2 < 2^62.
+    takes about 2 sqrt(n) Python steps; each product is a product of two
+    residues, which the word holds.
     """
     m = isqrt(n - 1) + 1
     low = [1]
@@ -178,7 +202,8 @@ def _power_table(t: int, n: int, p: int) -> np.ndarray:
     high = [1]
     for _ in range(-(-n // m) - 1):
         high.append(high[-1] * low[m] % p)
-    return reduce_mod(np.array(high, dtype=np.int64)[:, None] * np.array(low[:m], dtype=np.int64), p).ravel()[:n]
+    dtype = word(p)
+    return reduce_mod(np.array(high, dtype=dtype)[:, None] * np.array(low[:m], dtype=dtype), p).ravel()[:n]
 
 
 # See the module docstring.  Setting either threshold turns glibc's dynamic
@@ -262,17 +287,19 @@ def per_prime_cache(fn: Callable) -> Callable:
 
 @per_prime_cache
 def inverse_table(p: int) -> np.ndarray:
-    """Read-only int64 array inv with inv[0] = 0 and inv[a] = a^-1 mod p.
+    """Read-only word(p) array inv with inv[0] = 0 and inv[a] = a^-1 mod p.
 
     With g = primitive_root(p), the powers pw[j] = g^j for 0 <= j < p - 1
     run once over every nonzero residue, and (g^j)^-1 = g^((-j) mod (p - 1)),
     so one scatter inv[pw[j]] = pw[(-j) mod (p - 1)] fills the table.  pw
-    comes from _power_table in about 2 sqrt(p) Python steps, each product
-    < p^2 < 2^62; nothing else is kept.
+    comes from _power_table in about 2 sqrt(p) Python steps; nothing else
+    is kept.
     """
     pw = _power_table(primitive_root(p), p - 1, p)
-    inv = np.zeros(p, dtype=np.int64)
-    inv[pw] = np.concatenate((pw[:1], pw[:0:-1]))  # pw[(-j) mod (p - 1)]
+    inv = np.zeros(p, dtype=pw.dtype)
+    # numpy scatters through an int32 index array more slowly than through
+    # an intp copy of it: 50 against 30 us at p = 14983
+    inv[pw.astype(np.intp)] = np.concatenate((pw[:1], pw[:0:-1]))  # pw[(-j) mod (p - 1)]
     inv.flags.writeable = False
     return inv
 
@@ -331,7 +358,7 @@ def mul_limbs(p: int, la: int, lb: int) -> tuple[int, bool]:
 
 
 def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """The product of two coefficient arrays with entries in [0, p), mod p.
+    """The product of two coefficient arrays with entries in [0, p), mod p, in word(p).
 
     Each input is split into L limbs of w = ceil(bitlen(p - 1) / L) bits,
     the 2L - 1 limb-pair sums c_s = sum_{i + j = s} a_i * b_j are formed
@@ -350,8 +377,9 @@ def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     are at most 11, 11 and 9 bits.
 
     Direct products: each c_s is a sum of at most min(len) terms per pair,
-    so it is at most min(len) P_L, and np.convolve is exact while that is
-    below 2^63 (reduce_mod's precondition for non-negative x).  L = 3
+    so it is at most min(len) P_L.  np.convolve sums in its inputs' type,
+    so the factors are widened to int64 first, and it is exact while that
+    is below 2^63 (reduce_mod's precondition for non-negative x).  L = 3
     meets it for any min(len) < 2^40.
 
     Float-error bound: for real x, y zero-padded to n = 2^k, a
@@ -378,6 +406,8 @@ def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if min(la, lb) >= FFT_MIN_LEN and max(la, lb) > FFT_MAX_LEN:
         return _mul_blocks(a, b, p) if la >= lb else _mul_blocks(b, a, p)
     limbs, fft = mul_limbs(p, la, lb)
+    if not fft:
+        a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
     width = -(-(p - 1).bit_length() // limbs)
     mask = (1 << width) - 1
     a_limbs = [a] if limbs == 1 else [a >> (width * i) & mask for i in range(limbs)]
@@ -400,7 +430,7 @@ def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         else:
             out += reduce_mod(c, p) * pow(2, width * s, p)
             reduce_mod(out, p)
-    return out
+    return out.astype(word(p), copy=False)
 
 
 def _mul_blocks(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -414,7 +444,7 @@ def _mul_blocks(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     take len(a) * len(b) multiply-adds.
     """
     step = min(len(b), FFT_MAX_LEN)
-    out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
+    out = np.zeros(len(a) + len(b) - 1, dtype=word(p))
     for start in range(0, len(a), step):
         block = a[start : start + step]
         seg = out[start : start + len(block) + len(b) - 1]
@@ -429,17 +459,17 @@ class ModPoly:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs: Union[Iterable[int], np.ndarray] = ()):
-        """Reduce a copy of coeffs (|c| < 2^62) mod p and trim its trailing zeros.
+        """Reduce a copy of coeffs (|c| < 2^62) mod p into word(p), and trim its trailing zeros.
 
         This is the input boundary: it checks p and trusts nothing of coeffs.
         Tables that a kernel has already reduced go through _from_reduced.
         """
         ensure_prime(p)
-        self._keep(p, reduce_mod(np.array(coeffs, dtype=np.int64), p))
+        self._keep(p, reduce_mod(np.array(coeffs, dtype=np.int64), p).astype(word(p), copy=False))
 
     @classmethod
     def _from_reduced(cls, p: int, arr: np.ndarray) -> "ModPoly":
-        """The polynomial of arr, an int64 array already in [0, p), for a p already checked.
+        """The polynomial of arr, a word(p) array already in [0, p), for a p already checked.
 
         The producers of finished tables use this: eval_fmp, eval_fmp_triple,
         __mul__, eval_expression and _accumulate.  It skips __init__'s check
@@ -488,7 +518,8 @@ class ModPoly:
         return self.p == other.p and np.array_equal(self.coeffs, other.coeffs)
 
     def __hash__(self):
-        return hash((self.p, self.coeffs.tobytes()))
+        # the bytes of the int64 values, so that equal polynomials hash alike whatever their width
+        return hash((self.p, self.coeffs.astype(np.int64, copy=False).tobytes()))
 
     def _require_same_modulus(self, other: "ModPoly") -> None:
         if self.p != other.p:
@@ -520,15 +551,16 @@ class ModPoly:
         """The value at t in F_p, equal to Horner's rule.
 
         The powers t^e for e < n = len(coeffs) come from _power_table in
-        about 2 sqrt(n) Python steps.  Each term c_e t^e is reduced below p,
-        so a sum of at most 2^32 of them stays < 2^32 p < 2^63; longer
+        about 2 sqrt(n) Python steps.  Each term c_e t^e is a product of two
+        residues, which the word holds, and is reduced below p; a sum of at
+        most 2^32 of them, taken in int64, stays < 2^32 p < 2^63, and longer
         arrays are summed in slices of 2^32.
         """
         p, n = self.p, len(self.coeffs)
         if n == 0:
             return 0
         terms = reduce_mod(self.coeffs * _power_table(t % p, n, p), p)
-        return sum(int(terms[i : i + (1 << 32)].sum()) for i in range(0, n, 1 << 32)) % p
+        return sum(int(terms[i : i + (1 << 32)].sum(dtype=np.int64)) for i in range(0, n, 1 << 32)) % p
 
     def text_chunks(self) -> Iterator[str]:
         """str(self) in pieces of at most TEXT_CHUNK_TERMS terms each, which join to str(self).

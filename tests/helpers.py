@@ -14,6 +14,10 @@ from fmpl.words import EMPTY, FormalSum, Index, shuffle
 
 I = Index.of
 
+# The primes either side of the width rule's edges: in int32, (p - 1)^3 fits
+# at 1291 and not at 1297; (p - 1)^2 fits int32 at 46337 and not at 46349.
+EDGE_PRIMES = (1291, 1297, 46337, 46349)
+
 
 def subprocess_env() -> dict[str, str]:
     """os.environ with the fmpl under test first on PYTHONPATH, for a fresh interpreter."""

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import indices_up_to, index_triples_up_to
+from helpers import EDGE_PRIMES, indices_up_to, index_triples_up_to
 from fmpl import evaluate, modular
 from fmpl.evaluate import (
     PartialSumTable,
     PrefixTrie,
     _dot_mod,
+    _stage_two,
     _window_step,
     brute_force_fmp,
     brute_force_fmp_triple,
@@ -24,7 +25,7 @@ from fmpl.evaluate import (
     zeta_sums,
 )
 from fmpl.identities import pfd_check, verify_eq7
-from fmpl.modular import ModPoly, inverse_table
+from fmpl.modular import WORD_MAX, ModPoly, inverse_table, word
 from fmpl.words import EMPTY, Index, concat
 
 I = Index.of
@@ -184,12 +185,14 @@ def test_walk_is_the_same_at_every_block_size(monkeypatch, block, p):
     assert zeta.tolist() == [eval_zeta(k, p) for k in trie.indices]
 
 
-@pytest.mark.parametrize("p", (2097143, 2097169))
+@pytest.mark.parametrize("p", (2097143, 2097169) + EDGE_PRIMES)
 def test_window_step_exact_on_all_max_tables(p):
     # 2097143 is the largest prime <= 2^21, where (p - 1)^3 < 2^63 and the
-    # product is reduced once; at 2097169 the window sums are reduced first
-    assert ((p - 1) ** 3 < 1 << 63) == (p == 2097143)
-    prev = np.full((2, p), p - 1, dtype=np.int64)
+    # product is reduced once; at 2097169 the window sums are reduced first.
+    # In int32 the same holds at 1291 and at 1297 to 46337; at 46349, in
+    # int64, the product is reduced once
+    assert ((p - 1) ** 3 <= WORD_MAX[word(p)]) == (p in (2097143, 1291, 46349))
+    prev = np.full((2, p), p - 1, dtype=word(p))
     prev[1, ::3] = 0
     src = [row.tolist() for row in prev]
     rng = np.random.default_rng(p)
@@ -221,16 +224,17 @@ def test_inv_window_is_the_window_sums_of_each_inverse_power(p):
         assert not w.flags.writeable
 
 
-@pytest.mark.parametrize("p", (1664501, 1664543))
+@pytest.mark.parametrize("p", (1664501, 1664543) + EDGE_PRIMES)
 def test_dot_mod_exact_on_all_max_tables(p):
     # 1664501 is the largest prime where a sum of 2p - 1 products < p^2 stays
     # below 2^63 and is summed unreduced; at 1664543 it would not, and the
-    # products are reduced first
+    # products are reduced first.  In int32 the sum passes 2^31 at every
+    # edge prime, and is taken in int64
     n = 2 * p - 1
-    assert (n * (p - 1) ** 2 < 1 << 63) == (p == 1664501)
-    heads = np.full((2, n), p - 1, dtype=np.int64)
+    assert (n * (p - 1) ** 2 < 1 << 63) == (p != 1664543)
+    heads = np.full((2, n), p - 1, dtype=word(p))
     heads[1, ::3] = 0
-    weights = np.full(n, p - 1, dtype=np.int64)
+    weights = np.full(n, p - 1, dtype=word(p))
 
     def literal(row, w):
         """sum row[m] * w[m] mod p, in Python ints."""
@@ -242,6 +246,27 @@ def test_dot_mod_exact_on_all_max_tables(p):
     band = _dot_mod(heads[:, lo:hi], weights[2 : 2 + hi - lo], p)
     assert band.tolist() == [literal(row[lo:hi], weights[2 : 2 + hi - lo]) for row in heads]
     assert int(_dot_mod(heads[0], weights, p)) == n * (p - 1) ** 2 % p
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_inv_window_and_stage_two_exact_at_the_width_edges(p):
+    # the prefix sums of inv^b reach p (p - 1) / 2, and a stage-2 entry is a
+    # product of two residues, up to (p - 1)^2: in int32 at 46337
+    inv = [0] + [pow(t, -1, p) for t in range(1, p)]
+    firsts, ks = np.array([1, 2, 3, 1]), (3, 1, 2, 4)
+    for b in sorted(set(firsts.tolist())):
+        power = [pow(x, b, p) for x in inv]
+        prefix = [0]
+        for x in power:
+            prefix.append(prefix[-1] + x)
+        literal = [(prefix[min(n, p)] - prefix[max(0, n - p + 1)]) % p for n in range(2 * p - 1)]
+        w = evaluate._inv_window(b, p)
+        assert w.dtype == word(p) and w.tolist() == literal, b
+    stage = _stage_two(firsts, ks, p, 2 * p - 1)
+    assert stage.dtype == word(p)
+    for row, a, k in zip(stage.tolist(), firsts.tolist(), ks):
+        w = evaluate._inv_window(a, p).tolist()
+        assert row == [pow(inv[n % p], k, p) * w[n] % p for n in range(2 * p - 1)], (a, k)
 
 
 def _count_step_rows(monkeypatch) -> list:
@@ -326,15 +351,16 @@ def test_single_index_tables_are_counted_once_in_the_memo(monkeypatch):
     def nbytes(name):
         return sum(v.nbytes for key, v in tables.items() if key[0].__name__ == name)
 
+    size = word(p).itemsize  # 4 bytes, int32, at p = 1009
     inverse = nbytes("inverse_table") + nbytes("_inv_power_table")
-    assert inverse == 3 * 8 * p
-    assert nbytes("_inv_window") == 2 * 8 * (2 * p - 1)
+    assert inverse == 3 * size * p
+    assert nbytes("_inv_window") == 2 * size * (2 * p - 1)
     arrays = [v.coeffs if isinstance(v, ModPoly) else v for v in tables.values()]
     assert len({id(v) for v in arrays}) == len(arrays)
     held = inverse + nbytes("_inv_window") + f.coeffs.nbytes + h.coeffs.nbytes
     assert sum(v.nbytes for v in arrays) == held
-    assert f.coeffs.nbytes == 8 * (k.depth * (p - 1) + 1)
-    assert h.coeffs.nbytes == 8 * (k.head().depth * (p - 1) + 1)
+    assert f.coeffs.nbytes == size * (k.depth * (p - 1) + 1)
+    assert h.coeffs.nbytes == size * (k.head().depth * (p - 1) + 1)
     # a depth-1 polynomial copies its table, which is a cached inverse power
     g = eval_fmp(I(3), p)
     assert not np.shares_memory(g.coeffs, evaluate._inv_powers(3, p))

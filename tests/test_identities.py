@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import eval_expression_per_term, index_pairs_up_to, indices_up_to, pfd_exhaustive, reversed_shuffle
+from helpers import EDGE_PRIMES, eval_expression_per_term, index_pairs_up_to, indices_up_to, pfd_exhaustive, reversed_shuffle
 from fmpl import identities, modular
 from fmpl.evaluate import eval_fmp, eval_zeta
 from fmpl.identities import (
@@ -31,7 +31,7 @@ from fmpl.identities import (
     verify_reversal,
     verify_stuffle,
 )
-from fmpl.modular import ModPoly, primes_in_range
+from fmpl.modular import WORD_MAX, ModPoly, primes_in_range, word
 from fmpl.surjections import variant_expansion
 from fmpl.words import EMPTY, FormalSum, Index, concat, shuffle, stuffle
 
@@ -335,6 +335,61 @@ def test_accumulator_bound_at_largest_prime():
         for e, c in enumerate(t.tolist()):
             expected[r][offset + e] = (expected[r][offset + e] + scalar * c) % p
     assert rows.tolist() == expected
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_fold_exact_on_all_max_adds_at_the_width_edges(p):
+    # in int32 a row takes 1 add between reductions at 46337 and about 1290
+    # at 1291 and 1297; 1300 adds at one offset pass the budget there
+    budget = (WORD_MAX[word(p)] - p) // (p - 1) ** 2
+    assert (budget == 1) == (p == 46337)
+    assert (budget < 1300) == (p != 46349)
+    table = np.full(40, p - 1, dtype=word(p))
+    adds = [(0, p - 1, 0, table)] * 1300 + [(1, p - 1, 10, table)] * 3 + [(0, p - 1, 30, table[:20])] * 7
+    rows = _fold([np.zeros(50, dtype=word(p)), np.zeros(60, dtype=word(p))], adds, p)
+    expected = [[0] * 50, [0] * 60]
+    for r, scalar, offset, t in adds:
+        for e, c in enumerate(t.tolist()):
+            expected[r][offset + e] = (expected[r][offset + e] + scalar * c) % p
+    assert [row.dtype for row in rows] == [word(p)] * 2
+    assert [row.tolist() for row in rows] == expected
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_pfd_row_exact_at_the_width_edges(monkeypatch, p):
+    assert pfd_check(1, 1, p).ok and pfd_check(3, 2, p).ok
+    # a wrong coefficient: the first Y reported, and both sides there, are
+    # those of the same row in Python ints
+    monkeypatch.setattr(identities, "_binomials_mod", lambda n, count, p: [_wrong_binomial(n + t, t) % p for t in range(count)])
+    alpha, beta = 3, 2
+
+    def sides(y):
+        z = y + 1
+        rhs = sum(_wrong_binomial(alpha - 1 + t, t) * pow(z, -(alpha + t), p) * pow(y, t - beta, p) for t in range(beta))
+        rhs += sum(_wrong_binomial(beta - 1 + t, t) * pow(z, -(beta + t), p) for t in range(alpha))
+        return pow(y, -beta, p), rhs % p
+
+    result = pfd_check(alpha, beta, p)
+    y = next(y for y in range(1, p - 1) if sides(y)[0] != sides(y)[1])
+    assert not result.ok and result.detail == "X=1 Y={}: lhs={} rhs={}".format(y, *sides(y))
+
+
+def test_eval_expression_peak_is_the_part_rows_the_result_and_one_table():
+    # (2,1) x (3) at p = 100003, in int64, with the memo's tables and the
+    # plan already built: its live groups give 3 part rows of 2p - 1
+    # entries and a result of 3p - 2.  The peak was 12.98 MiB (17.0 * 8p)
+    # with one 2-D array of rows, reduced whole, and 14.5 MiB before the
+    # fold; it is 10.05 MiB (13.2 * 8p)
+    p = 100003
+    expr = shuffle_correction(I(2, 1), I(3))
+    eval_expression(expr, p)
+    tracemalloc.start()
+    try:
+        eval_expression(expr, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 8 * p
 
 
 def test_eval_expression_builds_one_polynomial(monkeypatch):

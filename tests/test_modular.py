@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import EDGE_PRIMES
 from fmpl import modular
 from fmpl.evaluate import eval_fmp, eval_fmp_triple, eval_zeta, eval_zeta_variant
 from fmpl.modular import (
@@ -24,6 +25,7 @@ from fmpl.modular import (
     primes_in_range,
     primitive_root,
     reduce_mod,
+    word,
 )
 from fmpl.sweep import run_sweep
 from fmpl.words import Index
@@ -121,7 +123,7 @@ def test_inverse_table_matches_scalar(p):
 
 def _assert_inverse_table(p):
     table = inverse_table(p)
-    assert table.dtype == np.int64 and table.shape == (p,)
+    assert table.dtype == word(p) and table.shape == (p,)
     assert not table.flags.writeable
     assert table[0] == 0
     assert np.all(table[1:] * np.arange(1, p) % p == 1)
@@ -395,6 +397,17 @@ def test_from_reduced_matches_the_validating_constructor():
     assert ModPoly._from_reduced(p, base).coeffs.base is None
 
 
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_mul_mod_exact_on_all_max_words_at_the_width_edges(p):
+    # np.convolve sums in its inputs' type: in int32, two products of
+    # (p - 1)^2 pass 2^31 at 46337, so the direct path widens first
+    for la, lb in [(200, 700), (FFT_MIN_LEN, 3000)]:
+        a = np.full(la, p - 1, dtype=word(p))
+        b = np.full(lb, p - 1, dtype=word(p))
+        out = mul_mod(a, b, p)
+        assert out.dtype == word(p) and out.tolist() == _all_max_product(la, lb, p), (la, lb)
+
+
 def test_mul_mod_limb_split_direct_beyond_fft_limit(monkeypatch):
     # past a shorter limit, with the shorter factor below FFT_MIN_LEN, these
     # products go down the limb-split np.convolve path, uncut
@@ -456,7 +469,7 @@ def test_mul_mod_bit_identical_to_convolve(la, lb, p, seed):
     a[rng.random(la) < 0.5] = p - 1
     expected = np.convolve(a, b) % p
     out = mul_mod(a, b, p)
-    assert out.dtype == np.int64
+    assert out.dtype == word(p)
     assert np.array_equal(out, expected)
 
 
@@ -496,6 +509,38 @@ def test_evaluate_zero_and_long():
     f = ModPoly(p, np.full(10007, p - 1, dtype=np.int64))
     for t in (0, 1, 2, p - 1, 12345):
         assert f.evaluate(t) == _horner(f, t), t
+
+
+# -- the width rule ----------------------------------------------------------
+
+
+def test_word_is_int32_exactly_while_a_product_of_residues_fits():
+    assert primes_in_range(46337, 46349) == [46337, 46349]
+    assert 46336**2 <= modular.WORD_MAX[np.dtype(np.int32)] < 46348**2
+    for p in (2, 3, 1291, 1297, 46337):
+        assert word(p) == np.int32
+    assert word(2**31 - 1) == np.int64
+    for p in (46349, 100003):
+        assert word(p) == np.int64
+        assert inverse_table(p).dtype == np.int64 and eval_fmp(I(2, 1), p).coeffs.dtype == np.int64
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_evaluate_exact_on_all_max_coefficients_at_the_width_edges(p):
+    # each term is (p - 1)^2 at t = p - 1; 3p of them pass 2^31, so the sum is taken in int64
+    f = ModPoly(p, np.full(3 * p, p - 1))
+    assert f.coeffs.dtype == word(p)
+    for t in (p - 1, 2, 12345):
+        assert f.evaluate(t) == _horner(f, t), t
+
+
+@pytest.mark.parametrize("p", (101, 46349))
+def test_equal_polynomials_hash_alike_whatever_their_width(p):
+    f = eval_fmp(I(2, 1), p)
+    same = [ModPoly(p, f.coeffs.tolist())] + [ModPoly._from_reduced(p, f.coeffs.astype(t)) for t in (np.int32, np.int64)]
+    for g in same:
+        assert g == f and hash(g) == hash(f)
+    assert len({f, *same}) == 1
 
 
 # -- the per-prime memo ------------------------------------------------------
