@@ -99,6 +99,15 @@ def _inv_window(b: int, p: int) -> np.ndarray:
 REDUCE_CHUNK = 1 << 14
 
 
+def _reduce_chunked(x: np.ndarray, p: int) -> None:
+    """reduce_mod of the 1-D array x in place, REDUCE_CHUNK entries at a time."""
+    if len(x) <= REDUCE_CHUNK:
+        reduce_mod(x, p)
+        return
+    for s in range(0, len(x), REDUCE_CHUNK):
+        reduce_mod(x[s : s + REDUCE_CHUNK], p)
+
+
 def _times_inv_powers(d: np.ndarray, p: int, ks: Sequence[int]) -> None:
     """d[r, n] *= inv(n)^ks[r] mod p in place; d is C-contiguous, its width a multiple of p.
 
@@ -111,9 +120,7 @@ def _times_inv_powers(d: np.ndarray, p: int, ks: Sequence[int]) -> None:
     else:
         powers = np.stack([_inv_powers(k, p) for k in kinds])
         grid *= powers[np.searchsorted(kinds, ks)][:, None, :]
-    flat = d.reshape(-1)
-    for s in range(0, len(flat), REDUCE_CHUNK):
-        reduce_mod(flat[s : s + REDUCE_CHUNK], p)
+    _reduce_chunked(d.reshape(-1), p)
 
 
 def _window_step(
@@ -189,8 +196,8 @@ class PrefixTrie:
 
     def __init__(self, indices: Iterable[Index]):
         self.indices = sorted(set(indices))
-        self.depth = max((k.depth for k in self.indices), default=0)
-        levels = [[()]] + [sorted({k[:j] for k in self.indices if k.depth >= j}) for j in range(1, self.depth + 1)]
+        self.depth = max(map(len, self.indices), default=0)
+        levels = [[()]] + [sorted({k[:j] for k in self.indices if len(k) >= j}) for j in range(1, self.depth + 1)]
         leaf_of = {k: i for i, k in enumerate(self.indices)}
         self.leaf = [np.array([leaf_of.get(q, -1) for q in level], dtype=np.intp) for level in levels]
         self.parent, self.part = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int64)]
@@ -204,10 +211,10 @@ class PrefixTrie:
     @cached_property
     def by_last_part(self) -> "LastParts":
         """The indices split into head and last part, as zeta_sums reads them; built once per trie."""
-        singles = tuple((k[0], i) for i, k in enumerate(self.indices) if k.depth == 1)
-        heads = PrefixTrie(k.head() for k in self.indices if k.depth > 1)
+        singles = tuple((k[0], i) for i, k in enumerate(self.indices) if len(k) == 1)
+        heads = PrefixTrie(k.head() for k in self.indices if len(k) > 1)
         head_leaf = {h: i for i, h in enumerate(heads.indices)}
-        pairs = sorted((k[-1], head_leaf[k.head()], i) for i, k in enumerate(self.indices) if k.depth > 1)
+        pairs = sorted((k[-1], head_leaf[k.head()], i) for i, k in enumerate(self.indices) if len(k) > 1)
         last, head_of, leaf_of = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
         parts = sorted({b for b, _, _ in pairs})  # not np.unique, which imports numpy.ma
         return LastParts(singles, heads, parts, np.append(np.searchsorted(last, parts), len(last)), head_of, leaf_of)

@@ -24,26 +24,8 @@ read in li's orientation: li puts k_1 on the innermost partial sum L_1,
 so the pure part is the reversed image rev(shuffle(rev k, rev k')) of
 words.shuffle, e.g. li_1 * li_2 = li_{2,1} + 2 li_{1,2} + zeta(3) T^p.
 
-eval_expression takes an expression to its polynomial from a plan that is
-built once per expression and cached (_plan): the prefix trie of its
-distinct zeta indices, the prefix trie of the heads of its li indices (each
-less its last part), its distinct last parts and coefficients, and for each
-term its zeta leaf, its coefficient and its (li index, T-power) group.  Per
-prime, the distinct coefficients are reduced mod p once, one walk of the zeta
-trie gives every zeta value, and each term c * zeta, reduced below p, is
-summed into its group's scalar by one np.add.reduceat: a sum of at most
-n_terms values < p, exact while n_terms * p < 2^63.  The li side is folded
-through one window step per last part b.  The step W_b that appends b is
-linear and commutes with T^p, since inv(n) depends only on n mod p, so
-
-    sum_g s_g T^(p t_g) li_(k_g) = sum_b W_b(A_b) + sum_(k_g empty) s_g T^(p t_g),
-    A_b = sum_(last(k_g) = b) s_g T^(p t_g) li_(head(k_g)),
-
-exactly.  Each head table is added times its group scalars into its
-part's row, and each row takes one window step; eval_expression gives the
-length rule.  _fold is the one accumulator of scalar * T^offset * table
-terms, in word(p) rows (modular's width rule), and states its bound;
-verify_eq7's right side is summed in one row of it (_accumulate).
+eval_expression (from fold) takes an expression to its polynomial in
+F_p[T], and verify_eq7 sums its right side with fold's accumulator.
 
 The verify_* functions compare two independently computed F_p (or
 F_p[T]) values and report the first difference.
@@ -51,29 +33,18 @@ F_p[T]) values and report the first difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import index, itemgetter
+from operator import index
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .evaluate import (
-    WALK_BLOCK_BYTES,
-    PrefixTrie,
-    _inv_powers,
-    _window_step,
-    eval_fmp,
-    eval_fmp_triple,
-    eval_zeta,
-    eval_zeta_variant,
-    walk,
-    zeta_sums,
-)
-from .modular import WORD_MAX, ModPoly, ensure_prime, inverse_table, reduce_mod, word
+from .evaluate import PrefixTrie, _inv_powers, eval_fmp, eval_fmp_triple, eval_zeta, eval_zeta_variant, zeta_sums
+from .fold import _accumulate, eval_expression
+from .modular import ModPoly, ensure_prime, inverse_table, reduce_mod
 from .surjections import variant_expansion
-from .words import EMPTY, FormalSum, Index, concat, star, stuffle
+from .words import EMPTY, FormalSum, Index, _unchecked_index, concat, star, stuffle
 
 
 class CorrectionTerm(NamedTuple):
@@ -116,9 +87,20 @@ class CorrectionExpression:
         for t in terms:
             key = t[1:]
             merged[key] = merged.get(key, 0) + index(t[0])
-        object.__setattr__(self, "_terms", tuple(CorrectionTerm(c, *key) for key, c in sorted(merged.items()) if c))
+        self._freeze(merged)
+
+    @classmethod
+    def _of(cls, merged: dict[tuple[Index, int, Index], int]) -> "CorrectionExpression":
+        """From merged {(zeta_index, tpow, li_index): coef} with int coefficients, unchecked."""
+        self = cls.__new__(cls)
+        self._freeze(merged)
+        return self
+
+    def _freeze(self, merged: dict[tuple[Index, int, Index], int]) -> None:
+        terms = tuple(CorrectionTerm(c, *key) for key, c in sorted(merged.items()) if c)
+        object.__setattr__(self, "_terms", terms)
         # hash(terms), computed once: the plan cache hashes the expression at every prime
-        object.__setattr__(self, "_hash", hash(self._terms))
+        object.__setattr__(self, "_hash", hash(terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("CorrectionExpression is immutable")
@@ -167,14 +149,6 @@ def _scaled(c: int, expr: CorrectionExpression) -> Iterator[CorrectionTerm]:
     return (CorrectionTerm(c * coef, z, tpow, li) for coef, z, tpow, li in expr.terms)
 
 
-def _pure(coef: int, li_index: Index) -> CorrectionTerm:
-    return CorrectionTerm(coef, EMPTY, 0, li_index)
-
-
-def _zeta_block(sign: int, fs: FormalSum, tpow: int, li_index: Index) -> list[CorrectionTerm]:
-    return [CorrectionTerm(sign * c, zi, tpow, li_index) for zi, c in fs]
-
-
 @lru_cache(maxsize=None)
 def expand_triple(lam: Index, mu: Index, nu: Index) -> CorrectionExpression:
     """Exact generator decomposition of the three-block sum.
@@ -182,34 +156,44 @@ def expand_triple(lam: Index, mu: Index, nu: Index) -> CorrectionExpression:
     All terms share level a = wt(lam) + wt(mu) + wt(nu); the impure terms
     sit at sublevel b <= a - 1.
     """
-    if lam == EMPTY:
-        return CorrectionExpression([_pure(1, concat(mu, nu))])
-    if mu == EMPTY:
-        return CorrectionExpression([_pure(1, concat(lam, nu))])
-    a, b = lam.depth, mu.depth
+    return CorrectionExpression._of(_expand(lam, mu, nu))
+
+
+@lru_cache(maxsize=None)
+def _expand(lam: Index, mu: Index, nu: Index) -> dict[tuple[Index, int, Index], int]:
+    """expand_triple's terms as {(zeta index, T-power, li index): coef}, shared by the cache: read only.
+
+    Every index built here is made of the parts of lam, mu and nu, or sums
+    of them, so it is built unchecked.
+    """
+    if not lam or not mu:
+        return {(EMPTY, 0, concat(lam or mu, nu)): 1}
+    out: dict[tuple[Index, int, Index], int] = {}
+
+    def add(c: int, terms: Iterable[tuple[tuple[Index, int, Index], int]]) -> None:
+        for key, v in terms:
+            out[key] = out.get(key, 0) + c * v
+
+    a, b = len(lam), len(mu)
     la, mb = lam[-1], mu[-1]
-    terms: list[CorrectionTerm] = []
     for tau in range(mb):
-        sub = expand_triple(lam.head(), Index(mu[:-1] + (mb - tau,)), Index((la + tau,) + nu))
-        terms.extend(_scaled(comb(la - 1 + tau, tau), sub))
+        sub = _expand(lam.head(), _unchecked_index(mu[:-1] + (mb - tau,)), _unchecked_index((la + tau,) + nu))
+        add(comb(la - 1 + tau, tau), sub.items())
     for tau in range(la):
-        sub = expand_triple(Index(lam[:-1] + (la - tau,)), mu.head(), Index((mb + tau,) + nu))
-        terms.extend(_scaled(comb(mb - 1 + tau, tau), sub))
-    sign = -1 if mu.weight % 2 else 1
-    merged = star(lam, mu)
+        sub = _expand(_unchecked_index(lam[:-1] + (la - tau,)), mu.head(), _unchecked_index((mb + tau,) + nu))
+        add(comb(mb - 1 + tau, tau), sub.items())
+    sign, merged = -1 if sum(mu) % 2 else 1, star(lam, mu)
     for i in range(1, a + b):
-        terms.extend(_zeta_block(sign, variant_expansion(i, merged), i, nu))
+        add(sign, (((zi, i, nu), c) for zi, c in variant_expansion(i, merged)))
     if a >= 2:
-        c4 = comb(la + mb - 1, la)
-        li4 = Index(mu[:-1] + (la + mb,) + nu)
+        li4 = _unchecked_index(mu[:-1] + (la + mb,) + nu)
         for j in range(1, a):
-            terms.extend(_zeta_block(-c4, variant_expansion(j, lam.head()), j, li4))
+            add(-comb(la + mb - 1, la), (((zi, j, li4), c) for zi, c in variant_expansion(j, lam.head())))
     if b >= 2:
-        c5 = comb(la + mb - 1, mb)
-        li5 = Index(lam[:-1] + (la + mb,) + nu)
+        li5 = _unchecked_index(lam[:-1] + (la + mb,) + nu)
         for j in range(1, b):
-            terms.extend(_zeta_block(-c5, variant_expansion(j, mu.head()), j, li5))
-    return CorrectionExpression(terms)
+            add(-comb(la + mb - 1, mb), (((zi, j, li5), c) for zi, c in variant_expansion(j, mu.head())))
+    return {key: c for key, c in out.items() if c}
 
 
 def shuffle_correction(k: Index, kp: Index) -> CorrectionExpression:
@@ -242,187 +226,6 @@ def term_product(t1: CorrectionTerm, t2: CorrectionTerm) -> CorrectionExpression
                     )
                 )
     return CorrectionExpression(out)
-
-
-def _fold(rows: list[np.ndarray], adds: Iterable[tuple[int, int, int, np.ndarray]], p: int) -> list[np.ndarray]:
-    """Add scalar * T^offset * table into rows[r] for each (r, scalar, offset, table).
-
-    rows are arrays of one type, each in [0, p) and of its own length;
-    every scalar and table entry lies in [0, p), and each offset +
-    len(table) is at most len(rows[r]).  Returns rows, reduced into [0, p)
-    in place.  Bound, against the maximum M of the rows' type: each add
-    puts at most (p - 1)^2 into an entry, so an entry below p can take
-    budget = (M - p) // (p - 1)^2 adds before it could pass M (1 at
-    p = 46,337 in int32, 2 at p = 2^31 - 1 in int64, about 85 at p = 5003
-    in int32).  A row is reduced after every budget adds into it, and all
-    rows again at the end, since the window step that follows needs
-    entries in [0, p).
-    """
-    budget = (WORD_MAX[rows[0].dtype] - p) // max(1, (p - 1) ** 2)
-    count = [0] * len(rows)
-    for r, scalar, offset, table in adds:
-        row = rows[r]
-        seg = row[offset : offset + len(table)]
-        seg += table * scalar
-        count[r] += 1
-        if count[r] == budget:
-            reduce_mod(row, p)
-            count[r] = 0
-    for row in rows:
-        reduce_mod(row, p)
-    return rows
-
-
-def _accumulate(length: int, terms: Iterable[tuple[int, int, np.ndarray]], p: int) -> ModPoly:
-    """The sum of scalar * T^offset * table over (scalar, offset, table) in F_p[T].
-
-    One word(p) row of _fold, under its conditions and bound.
-    """
-    (row,) = _fold([np.zeros(length, dtype=word(p))], ((0, c, o, t) for c, o, t in terms), p)
-    return ModPoly._from_reduced(p, row)
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """What eval_expression reads of an expression, at any prime.
-
-    The terms are ordered by group, a group being the terms that share an
-    (li index, T-power) pair; group g's terms are starts[g] to
-    starts[g + 1] - 1.  For each term, ``coef_of`` is its coefficient's
-    position in ``coefs``, the distinct coefficients, and ``zeta_of`` its
-    zeta index's leaf id in the ``zeta`` trie.
-
-    Each nonempty li index is its head (all parts but the last) and its last
-    part.  ``heads`` is the prefix trie of the heads; the empty head is the
-    root.  ``parts`` holds the distinct last parts, ascending.  For each
-    group, ``part_of`` is its last part's position in ``parts`` (-1 for the
-    empty li index), ``tpow`` its T-power and ``depth`` its li depth, which
-    put the end of its table at p * tpow + depth * (p - 1) + 1.
-    ``groups_of[leaf]`` lists, for each leaf id of ``heads``, the groups
-    with that head.
-    """
-
-    coefs: tuple[int, ...]
-    coef_of: np.ndarray
-    zeta: PrefixTrie
-    zeta_of: np.ndarray
-    starts: np.ndarray
-    heads: PrefixTrie
-    parts: np.ndarray
-    part_of: np.ndarray
-    tpow: np.ndarray
-    depth: np.ndarray
-    groups_of: tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=1024)
-def _plan(expr: CorrectionExpression) -> _Plan:
-    terms = sorted(expr.terms, key=itemgetter(3, 2))  # by (li index, T-power), stably
-    starts = [n for n in range(len(terms)) if n == 0 or terms[n][2:] != terms[n - 1][2:]]
-    groups = [terms[n] for n in starts]
-    coefs: dict[int, int] = {}  # each distinct coefficient's position
-    coef_of = [coefs.setdefault(t.coef, len(coefs)) for t in terms]
-    zeta = PrefixTrie(t.zeta_index for t in terms)
-    zeta_leaf = {k: i for i, k in enumerate(zeta.indices)}
-    heads = PrefixTrie(t.li_index.head() for t in groups if t.li_index)
-    head_leaf = {k: i for i, k in enumerate(heads.indices)}
-    parts = sorted({t.li_index[-1] for t in groups if t.li_index})
-    part_pos = {b: i for i, b in enumerate(parts)}
-    part_of = [part_pos[t.li_index[-1]] if t.li_index else -1 for t in groups]
-    groups_of: list[list[int]] = [[] for _ in heads.indices]
-    for g, t in enumerate(groups):
-        if t.li_index:
-            groups_of[head_leaf[t.li_index.head()]].append(g)
-    return _Plan(
-        coefs=tuple(coefs),
-        coef_of=np.array(coef_of, dtype=np.intp),
-        zeta=zeta,
-        zeta_of=np.array([zeta_leaf[t.zeta_index] for t in terms], dtype=np.intp),
-        starts=np.array(starts, dtype=np.intp),
-        heads=heads,
-        parts=np.array(parts, dtype=np.int64),
-        part_of=np.array(part_of, dtype=np.intp),
-        tpow=np.array([t.tpow for t in groups], dtype=np.int64),
-        depth=np.array([t.li_index.depth for t in groups], dtype=np.int64),
-        groups_of=tuple(map(tuple, groups_of)),
-    )
-
-
-def eval_expression(expr: CorrectionExpression, p: int) -> ModPoly:
-    """Evaluate a generator sum in F_p[T], from its cached plan (see _Plan).
-
-    Each distinct coefficient is reduced mod p once, and the zeta values
-    come from one walk of the plan's zeta trie.  Each term c * zeta is
-    reduced below p, and np.add.reduceat sums each group's terms into its
-    scalar s_g: a sum of at most n_terms values < p, exact while
-    n_terms * p < 2^63.  A group whose scalar is 0 is skipped.
-
-    The li side is folded through one window step W_b per last part b, by
-    the identity in the module docstring, which is exact because W_b is
-    linear and commutes with T^p (inv(n) depends only on n mod p).  One
-    walk of the head trie gives every head table, which
-    _fold adds times its group scalars into b's row at offset p t_g.  The
-    rows and the result are word(p) arrays, and _fold keeps each row within
-    the word's maximum and reduces all rows below p, as the window step
-    needs.  The rows are advanced by _window_step in blocks of at most
-    WALK_BLOCK_BYTES of output, stacked only for their block, so memory at
-    large p is the part rows plus one block.  Each block's stepped rows
-    are summed into the result in the word, which is then reduced: a block
-    of two or more rows has block * p < WALK_BLOCK_BYTES, so a sum of one
-    entry below p from each row and the result's entry cannot pass the
-    word's maximum.
-    Length rule: b's row is as wide as max(p t_g + dep(head)(p - 1)
-    + 1) over its live groups, so its step ends at p t_g + dep(k_g)(p - 1)
-    + 1, where that group's own table would end.
-    """
-    ensure_prime(p)
-    if not expr:
-        return ModPoly.zero(p)
-    plan = _plan(expr)
-    coefs = np.array([c % p for c in plan.coefs], dtype=np.int64)
-    values = reduce_mod(coefs[plan.coef_of] * zeta_sums(plan.zeta, p)[plan.zeta_of], p)
-    scalars = reduce_mod(np.add.reduceat(values, plan.starts), p)
-    live = scalars != 0
-    if not live.any():
-        return ModPoly.zero(p)
-    dtype = word(p)
-    ends = plan.tpow * p + plan.depth * (p - 1) + 1
-    out = np.zeros(int(ends[live].max()), dtype=dtype)
-    bare = np.flatnonzero(live & (plan.part_of < 0))  # the live groups of the empty li index
-    out[p * plan.tpow[bare]] = scalars[bare]
-    s, tpow = scalars.tolist(), plan.tpow.tolist()
-    folded = live & (plan.part_of >= 0)
-    if folded.any():
-        widths = np.zeros(len(plan.parts), dtype=np.int64)
-        np.maximum.at(widths, plan.part_of[folded], ends[folded] - (p - 1))
-        active = widths > 0
-        row_of = (np.cumsum(active) - 1)[plan.part_of].tolist()  # a live group's row
-        parts, widths = plan.parts[active], widths[active].tolist()
-        rows = [np.zeros(width, dtype=dtype) for width in widths]
-
-        def adds():
-            for leaves, tables in walk(plan.heads, p):
-                for leaf, table in zip(leaves.tolist(), tables):
-                    for g in plan.groups_of[leaf]:
-                        if s[g]:
-                            yield row_of[g], s[g], p * tpow[g], table
-
-        _fold(rows, adds(), p)
-        block = max(1, WALK_BLOCK_BYTES // (dtype.itemsize * (max(widths) + p - 1)))
-        for c in range(0, len(rows), block):
-            group, width = rows[c : c + block], max(widths[c : c + block])
-            if len(group) == 1:
-                stacked = group[0][None]
-            else:
-                stacked = np.zeros((len(group), width), dtype=dtype)
-                for i, row in enumerate(group):
-                    stacked[i, : len(row)] = row
-            stepped = _window_step(stacked, p, parts[c : c + block], width + p - 1)
-            seg = out[: width + p - 1]
-            seg += stepped[0] if len(stepped) == 1 else stepped.sum(axis=0, dtype=dtype)
-            del stepped  # the block's tables, freed before reduce_mod makes its temporary
-            reduce_mod(seg, p)
-    return ModPoly._from_reduced(p, out)
 
 
 @lru_cache(maxsize=256)

@@ -28,7 +28,7 @@ from math import comb
 from operator import sub
 from typing import Iterator, Sequence
 
-from .words import FormalSum, Index
+from .words import FormalSum, Index, _unchecked_index
 
 # |Phi_r| grows like the ordered Bell numbers; r <= 8 covers desk scale.
 MAX_R = 8
@@ -127,7 +127,7 @@ def _expansions(k: Index) -> tuple[FormalSum, ...]:
     groups: list[int] = []
 
     def grow(j: int, last: int, descents: int):
-        if j == k.depth:
+        if j == len(k):
             counts[descents][tuple(groups)] += 1
             return
         for t in range(len(groups)):  # used value t: a descent iff t < last
@@ -141,7 +141,7 @@ def _expansions(k: Index) -> tuple[FormalSum, ...]:
             del groups[t]
 
     grow(0, -1, 0)
-    return tuple(FormalSum((Index(parts), n) for parts, n in c.items()) for c in counts)
+    return tuple(FormalSum((_unchecked_index(parts), n) for parts, n in c.items()) for c in counts)
 
 
 def variant_expansion(i: int, k: Index) -> FormalSum:

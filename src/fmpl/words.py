@@ -64,7 +64,7 @@ class Index(tuple):
 
     def head(self) -> "Index":
         """All parts but the last."""
-        return Index(self[:-1])
+        return _unchecked_index(self[:-1])
 
     def text(self) -> str:
         """CLI syntax: '2,3', or '-' for the empty index."""
@@ -80,9 +80,18 @@ class Index(tuple):
 EMPTY = Index()
 
 
+def _unchecked_index(parts: Iterable[int]) -> Index:
+    """An Index of parts known to be positive ints, without Index's check.
+
+    For indices built from the parts of indices already checked (heads,
+    concatenations, sums of parts); Index(...) and Index.parse check.
+    """
+    return tuple.__new__(Index, parts)
+
+
 def concat(a: Index, b: Index) -> Index:
     """Concatenation (a_1, ..., a_r, b_1, ..., b_s)."""
-    return Index(a + b)
+    return _unchecked_index(a + b)
 
 
 def star(a: Index, b: Index) -> Index:
@@ -93,7 +102,7 @@ def star(a: Index, b: Index) -> Index:
     """
     if not a or not b:
         raise ValueError("star requires nonempty operands")
-    return Index(a[:-1] + (a[-1] + b[-1],) + b[-2::-1])
+    return _unchecked_index(a[:-1] + (a[-1] + b[-1],) + b[-2::-1])
 
 
 def index_to_word(k: Index) -> str:

@@ -4,7 +4,7 @@ import pickle
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import EDGE_PRIMES, eval_expression_per_term, index_pairs_up_to, indices_up_to, pfd_exhaustive, reversed_shuffle
-from fmpl import identities, modular
-from fmpl.evaluate import eval_fmp, eval_zeta
+from fmpl import fold, identities, modular
+from fmpl.evaluate import WALK_BLOCK_BYTES, eval_fmp, eval_zeta
+from fmpl.fold import _accumulate, _fold, _fold_depth, _plan, _step_into_parents
 from fmpl.identities import (
     CorrectionExpression,
     CorrectionTerm,
-    _accumulate,
-    _fold,
     eval_expression,
     expand_triple,
     pfd_check,
@@ -76,6 +75,20 @@ def test_expand_triple_base_cases():
     assert expand_triple(I(2, 1), EMPTY, I(3)) == CorrectionExpression([term(1, li=(2, 1, 3))])
     assert expand_triple(EMPTY, EMPTY, I(3)) == CorrectionExpression([term(1, li=(3,))])
     assert expand_triple(EMPTY, EMPTY, EMPTY) == CorrectionExpression([term(1)])
+
+
+def test_expand_triple_builds_one_expression_per_call(monkeypatch):
+    # the recursion merges plain dicts in a cache of its own; only the
+    # public call sorts its terms into an expression
+    sorted_terms = []
+    freeze = CorrectionExpression._freeze
+    monkeypatch.setattr(CorrectionExpression, "_freeze", lambda self, merged: sorted_terms.append(len(merged)) or freeze(self, merged))
+    identities._expand.cache_clear()
+    expand_triple.cache_clear()
+    expr = shuffle_correction(I(2, 1, 2, 1), I(3, 1, 2))
+    assert sorted_terms == [len(expr.terms)]
+    assert identities._expand.cache_info().currsize == 291
+    assert shuffle_correction(I(2, 1, 2, 1), I(3, 1, 2)) is expr and len(sorted_terms) == 1
 
 
 def test_expand_triple_worked_examples():
@@ -286,6 +299,51 @@ def test_eval_expression_matches_per_term_on_benchmark_pairs(k, kp):
         assert eval_expression(expr, p) == eval_expression_per_term(expr, p), (k, kp, p)
 
 
+@pytest.mark.parametrize("p", BIT_IDENTITY_PRIMES + EDGE_PRIMES)
+def test_eval_expression_matches_per_term_at_every_fold_depth(monkeypatch, p):
+    # the small pairs, each folded by its last m parts for every m up to its
+    # li depth, the plan's choice of m replaced.  At 46337 and 46349 the
+    # rows are 2^16 entries and more, and the pairs are those of total
+    # weight <= 6 (128 of 256, li depth <= 6): the whole grid took 80 s there
+    depth = {}
+    monkeypatch.setattr(fold, "_fold_depth", lambda plan, p: min(depth["m"], len(plan.stepped)))
+    for k, kp in product(indices_up_to(4), repeat=2):
+        if p > 2**15 and k.weight + kp.weight > 6:
+            continue
+        expr = shuffle_correction(k, kp)
+        expected = eval_expression_per_term(expr, p)
+        for m in range(1, k.depth + kp.depth + 1):
+            depth["m"] = m
+            assert eval_expression(expr, p) == expected, (k, kp, m)
+
+
+def test_fold_depth_follows_the_stepped_entries_within_m_1s_memory():
+    w12, w6 = (_plan(shuffle_correction(k, kp)) for k, kp in [(I(2, 1, 2, 1), I(3, 1, 2)), (I(2, 1), I(3))])
+    assert min(range(len(w12.stepped)), key=w12.stepped.__getitem__) == 2
+    assert _fold_depth(w12, 199) == 3
+    assert _fold_depth(w12, 100003) == 1
+    # (2,1) x (3) ties at m = 1 and m = 2, and a tie goes to the smaller m
+    assert w6.stepped[0] == w6.stepped[1] < w6.stepped[2]
+    assert {_fold_depth(w6, p) for p in primes_in_range(2, 2000) + list(EDGE_PRIMES) + [100003, 2**31 - 1]} == {1}
+
+
+@pytest.mark.parametrize("p,bound_mb", [(199, 0.6), (100003, 37.6)])
+def test_eval_expression_peak_for_main_w12_is_below_the_fold_by_the_last_part(p, bound_mb):
+    # (2,1,2,1) x (3,1,2), with the memo's tables and the plan already
+    # built.  Folded by its last part alone the peak was 0.76 MiB at 199
+    # and 37.6 MiB at 100003.  It folds by its last 3 parts at 199, so its
+    # li walk is 4 levels deep, not 6, and by its last part at 100003
+    expr = shuffle_correction(I(2, 1, 2, 1), I(3, 1, 2))
+    eval_expression(expr, p)
+    tracemalloc.start()
+    try:
+        eval_expression(expr, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2**20
+
+
 random_terms = st.lists(
     st.tuples(
         st.one_of(st.integers(-30, 30), st.integers(-(2**70), 2**70)),
@@ -356,6 +414,30 @@ def test_fold_exact_on_all_max_adds_at_the_width_edges(p):
 
 
 @pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_step_into_parents_exact_on_all_max_rows_at_the_width_edges(p):
+    # two parents and three suffix rows of mixed widths, every entry p - 1;
+    # at 1291 and 1297 the rows share one block, so the two rows of parent 0
+    # are summed in the word before the add; at 46337 and 46349 a block is
+    # one row
+    widths = [7, p + 3, 2]
+    parents, parts = [0, 0, 1], [1, 3, 2]
+    rows = [np.full(n, p - 1, dtype=word(p)) for n in [p + 3 + p - 1 + 4, 2 + p - 1] + widths]
+    src = [row.tolist() for row in rows]
+    assert (WALK_BLOCK_BYTES // (word(p).itemsize * (max(widths) + p - 1)) >= 3) == (p < 2000)
+    _step_into_parents(rows, 2, np.array(parts), parents, p)
+
+    expected = [list(src[0]), list(src[1])]
+    for child, k, parent in zip(src[2:], parts, parents):
+        below = list(accumulate(child, initial=0))  # below[j]: the sum of child[:j]
+        for n in range(1, len(child) + p - 1):
+            if n % p:  # inv(n)^k * sum_{0 < n - n' < p} child[n'], in Python ints
+                window = below[min(n, len(child))] - below[max(0, n - p + 1)]
+                expected[parent][n] = (expected[parent][n] + window * pow(n, -k, p)) % p
+    assert [row.dtype for row in rows[:2]] == [word(p)] * 2
+    assert [row.tolist() for row in rows[:2]] == expected
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
 def test_pfd_row_exact_at_the_width_edges(monkeypatch, p):
     assert pfd_check(1, 1, p).ok and pfd_check(3, 2, p).ok
     # a wrong coefficient: the first Y reported, and both sides there, are
@@ -379,7 +461,8 @@ def test_eval_expression_peak_is_the_part_rows_the_result_and_one_table():
     # plan already built: its live groups give 3 part rows of 2p - 1
     # entries and a result of 3p - 2.  The peak was 12.98 MiB (17.0 * 8p)
     # with one 2-D array of rows, reduced whole, and 14.5 MiB before the
-    # fold; it is 10.05 MiB (13.2 * 8p)
+    # fold; it is 10.05 MiB (13.2 * 8p), and the fold by the last m parts,
+    # which keeps m = 1 here, holds it there
     p = 100003
     expr = shuffle_correction(I(2, 1), I(3))
     eval_expression(expr, p)
@@ -389,7 +472,7 @@ def test_eval_expression_peak_is_the_part_rows_the_result_and_one_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 14 * 8 * p
+    assert peak < 13.2 * 8 * p
 
 
 def test_eval_expression_builds_one_polynomial(monkeypatch):

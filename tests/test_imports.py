@@ -1,4 +1,5 @@
-"""Every module of fmpl but the package's __init__ uses each name it imports."""
+"""Every module of fmpl but the package's __init__ uses each name it imports, and
+only the symbolic modules name the unchecked Index constructor."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ import fmpl
 
 PACKAGE = Path(fmpl.__file__).parent
 MODULES = sorted(str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*.py") if path.name != "__init__.py")
+# The modules that build indices from the parts of indices already checked
+UNCHECKED_INDEX_MODULES = ("identities.py", "surjections.py", "words.py")
 
 
 def _unused_imports(source: str) -> list[tuple[int, str]]:
@@ -41,3 +44,35 @@ def test_the_scan_sees_each_import_form():
         "np.zeros(comb(2, 1))\n"
     )
     assert _unused_imports(source) == [(2, "numpy"), (2, "os"), (4, "Index"), (4, "sh")]
+
+
+def _names(source: str) -> set[str]:
+    """Every name that the module imports, defines, reads or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*.py")))
+def test_only_the_symbolic_modules_name_the_unchecked_index(module):
+    named = "_unchecked_index" in _names((PACKAGE / module).read_text(encoding="utf-8"))
+    assert not named or module in UNCHECKED_INDEX_MODULES
+
+
+def test_the_name_scan_sees_imports_attributes_and_definitions():
+    source = (
+        "from .words import _unchecked_index as make\n"
+        "import fmpl.words\n"
+        "fmpl.words.star\n"
+        "def head(): pass\n"
+    )
+    assert {"_unchecked_index", "make", "fmpl", "words", "star", "head"} <= _names(source)

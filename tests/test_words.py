@@ -40,6 +40,17 @@ def test_index_rejects_bad_parts():
         Index((0, 2))
     with pytest.raises(ValueError):
         Index((1, -3))
+    with pytest.raises(ValueError):
+        Index.parse("1,0")
+
+
+def test_indices_built_from_checked_parts_are_indices():
+    # head, concat and star build their indices unchecked, from the parts of
+    # their checked operands
+    built = [I(2, 3).head(), EMPTY.head(), concat(I(1, 2), I(3)), concat(EMPTY, EMPTY), star(I(1, 2), I(3, 4))]
+    assert [type(k) for k in built] == [Index] * 5
+    assert built == [I(2), EMPTY, I(1, 2, 3), EMPTY, I(1, 6, 3)]
+    assert built[1] is not EMPTY and hash(built[1]) == hash(EMPTY) and built[1].text() == "-"
 
 
 def test_index_parse_round_trip():
