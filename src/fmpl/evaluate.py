@@ -101,9 +101,6 @@ REDUCE_CHUNK = 1 << 14
 
 def _reduce_chunked(x: np.ndarray, p: int) -> None:
     """reduce_mod of the 1-D array x in place, REDUCE_CHUNK entries at a time."""
-    if len(x) <= REDUCE_CHUNK:
-        reduce_mod(x, p)
-        return
     for s in range(0, len(x), REDUCE_CHUNK):
         reduce_mod(x[s : s + REDUCE_CHUNK], p)
 
