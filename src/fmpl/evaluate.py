@@ -14,13 +14,13 @@
 Stage 1 is inv^b; its window sums w_b(n), of inv(n')^b over 0 < n' < p
 with n - p < n' < n (0 <= n <= 2p - 2), are cached per (b, p)
 (_inv_window).  Stage 2 is f_(a,b)(n) = inv(n)^b * w_a(n) (_stage_two).
-Zeta values and variants are dot products (_dot_mod) of the head's table
-f_h, for k = (h, b), with a slice of w_b, as inv(n) depends on n mod p:
-    zeta(k)      = sum over 0 <= m <= p - 2 of f_h(m) * w_b(m + p),
-    variant_i(k) = sum of f_h(m) * w_b(m - (i-2)p) over 0 <= m - (i-2)p <= 2p - 2.
+Variant i of k = (h, b) is band i of the head's table f_h (_band), a dot
+product (_dot_mod) with a slice of w_b, as inv(n) depends on n mod p:
+    variant_i(k) = sum of f_h(m) * w_b(m - (i-2)p) over 0 <= m - (i-2)p <= 2p - 2,
+and zeta(k) is band 1 of f_h cut at p; the empty head's [1] gives w_b(p) = sum of inv^b.
 
 Sums over many indices share work through a PrefixTrie, walked level by
-level in blocks of WALK_BLOCK_BYTES (walk).  The per-prime tables
+level in blocks of WALK_BLOCK_BYTES (_walk_block).  The per-prime tables
 (inverse powers, windows, and the values of eval_zeta, eval_fmp and
 eval_fmp_triple) are memoized for the prime in use by
 modular.per_prime_cache.  A single index's final table is kept once, as
@@ -180,6 +180,21 @@ def _dot_mod(tables: np.ndarray, weights: np.ndarray, p: int) -> np.ndarray:
     return products.sum(axis=-1, dtype=np.int64) % p
 
 
+def _band(tables: np.ndarray, b: int, i: int, p: int) -> np.ndarray:
+    """Band i of part b: sum of tables[..., m] * w_b(m - (i-2)p) mod p over m < length, 0 <= m - (i-2)p <= 2p - 2.
+
+    A table of one entry, the empty head's [1], has only m = 0; its band 1,
+    w_b(p), is read as the sum of inv^b, with no window built.
+    """
+    shift, n = (i - 2) * p, tables.shape[-1]
+    if n == 1 and i == 1:
+        return tables[..., 0] * int(_inv_powers(b, p).sum(dtype=np.int64)) % p
+    lo, hi = max(0, shift), min(n, i * p - 1)
+    if lo >= hi:
+        return np.zeros(tables.shape[:-1], dtype=np.int64)
+    return _dot_mod(tables[..., lo:hi], _inv_window(b, p)[lo - shift : hi - shift], p)
+
+
 class PrefixTrie:
     """The prefix trie of a set of indices, by level; immutable, and the same at every p.
 
@@ -208,26 +223,23 @@ class PrefixTrie:
     @cached_property
     def by_last_part(self) -> "LastParts":
         """The indices split into head and last part, as zeta_sums reads them; built once per trie."""
-        singles = tuple((k[0], i) for i, k in enumerate(self.indices) if len(k) == 1)
-        heads = PrefixTrie(k.head() for k in self.indices if len(k) > 1)
+        heads = PrefixTrie(k.head() for k in self.indices if k)
         head_leaf = {h: i for i, h in enumerate(heads.indices)}
-        pairs = sorted((k[-1], head_leaf[k.head()], i) for i, k in enumerate(self.indices) if len(k) > 1)
+        pairs = sorted((k[-1], head_leaf[k.head()], i) for i, k in enumerate(self.indices) if k)
         last, head_of, leaf_of = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
         parts = sorted({b for b, _, _ in pairs})  # not np.unique, which imports numpy.ma
-        return LastParts(singles, heads, parts, np.append(np.searchsorted(last, parts), len(last)), head_of, leaf_of)
+        return LastParts(heads, parts, np.append(np.searchsorted(last, parts), len(last)), head_of, leaf_of)
 
 
 class LastParts(NamedTuple):
-    """A trie's indices of depth >= 1, each split into its head and its last part b.
+    """A trie's indices of depth >= 1 as pairs (head, last part b), sorted by b.
 
-    ``singles`` holds (b, leaf id) for each index of depth 1.  The deeper
-    indices are pairs, sorted by b: ``head_of`` is the head's leaf id in
-    ``heads``, the trie of their heads, and ``leaf_of`` the index's leaf id.
-    ``parts`` are their distinct last parts, ascending; part i's pairs are
-    ``bounds[i]`` .. ``bounds[i + 1] - 1``.
+    ``head_of`` is the head's leaf id in ``heads``, the trie of the heads
+    (a depth-1 index's head is the empty one, the root), and ``leaf_of``
+    the index's leaf id.  ``parts`` are the distinct last parts, ascending;
+    part i's pairs are ``bounds[i]`` .. ``bounds[i + 1] - 1``.
     """
 
-    singles: tuple[tuple[int, int], ...]
     heads: PrefixTrie
     parts: list[int]
     bounds: np.ndarray
@@ -235,10 +247,13 @@ class LastParts(NamedTuple):
     leaf_of: np.ndarray
 
 
-# Bytes of the tables that one batched window step may produce: a level's
-# nodes are taken in blocks of at most this size, or one node at a time
-# where a single table is larger.
+# Bytes of the tables that one batched window step may produce (_walk_block).
 WALK_BLOCK_BYTES = 128 << 10
+
+
+def _walk_block(length: int, p: int) -> int:
+    """The tables of length entries in word(p) that one step makes: as many as fit WALK_BLOCK_BYTES, at least one."""
+    return max(1, WALK_BLOCK_BYTES // (word(p).itemsize * length))
 
 
 def walk(trie: PrefixTrie, p: int, cap: Optional[int] = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -253,8 +268,7 @@ def walk(trie: PrefixTrie, p: int, cap: Optional[int] = None) -> Iterator[tuple[
     holds one block of parents per level; at large p a block is one node
     and the walk goes depth first.
     """
-    depth, itemsize = trie.depth, word(p).itemsize
-    lengths = [1] + [j * (p - 1) + 1 if cap is None else min(cap, j * (p - 1) + 1) for j in range(1, depth + 1)]
+    lengths = [1] + [j * (p - 1) + 1 if cap is None else min(cap, j * (p - 1) + 1) for j in range(1, trie.depth + 1)]
 
     def descend(j: int, a: int, b: int, rows: Optional[np.ndarray]):
         """Yield the leaves of the level-j nodes a .. b - 1 and their descendants, given the nodes' rows.
@@ -280,7 +294,7 @@ def walk(trie: PrefixTrie, p: int, cap: Optional[int] = None) -> Iterator[tuple[
         lo, hi = trie.first_child[j][a], trie.first_child[j][b]
         if lo == hi:
             return
-        block = max(1, WALK_BLOCK_BYTES // (itemsize * lengths[j + 1]))
+        block = _walk_block(lengths[j + 1], p)
         for c in range(lo, hi, block):
             d = min(c + block, hi)
             ks = trie.part[j + 1][c:d]
@@ -300,16 +314,14 @@ def walk(trie: PrefixTrie, p: int, cap: Optional[int] = None) -> Iterator[tuple[
 def zeta_sums(trie: PrefixTrie, p: int) -> np.ndarray:
     """zeta(k) mod p for each of the trie's indices, in its order; p is a checked prime.
 
-    Only the trie of the heads of the indices of depth >= 2 is walked, cut
-    at p.  For each block it yields and each last part b, the rows of the
-    heads extended by b are dotted with w_b's tail.
+    Only the trie of the indices' heads is walked, cut at p.  For each
+    block it yields and each last part b, the rows of the heads extended by
+    b give their band 1.
     """
-    singles, heads, parts, bounds, head_of, leaf_of = trie.by_last_part
+    heads, parts, bounds, head_of, leaf_of = trie.by_last_part
     out = np.zeros(len(trie.indices), dtype=np.int64)
     if trie.indices and not trie.indices[0]:
         out[0] = 1  # the empty index sorts first
-    for b, i in singles:  # zeta((b)) = w_b[p], the sum of inv^b: no window is built for it
-        out[i] = int(_inv_powers(b, p).sum(dtype=np.int64)) % p
     row_of = np.full(len(heads.indices), -1, dtype=np.intp)
     for leaves, tables in walk(heads, p, p):
         row_of[leaves] = np.arange(len(leaves))
@@ -317,12 +329,10 @@ def zeta_sums(trie: PrefixTrie, p: int) -> np.ndarray:
         row_of[leaves] = -1
         hit = np.flatnonzero(rows >= 0)  # the block's pairs, by last part
         cuts = np.searchsorted(hit, bounds).tolist()
-        tables = tables[:, : p - 1]
         for b, lo, hi in zip(parts, cuts, cuts[1:]):
             if lo < hi:
                 pairs = hit[lo:hi]
-                tail = _inv_window(b, p)[p : p + tables.shape[1]]
-                out[leaf_of[pairs]] = _dot_mod(tables[rows[pairs]], tail, p)
+                out[leaf_of[pairs]] = _band(tables[rows[pairs]], b, 1, p)
     return out
 
 
@@ -369,11 +379,8 @@ class PartialSumTable:
 
 @per_prime_cache
 def eval_zeta(k: Index, p: int) -> int:
-    """The truncated multiple harmonic sum mod p; 1 for the empty index: the head's table, cut at p, dotted with a window's tail."""
-    if not k:
-        return 1
-    head = PartialSumTable.of(k.head(), p, p).values[: p - 1]
-    return int(_dot_mod(head, _inv_window(k[-1], p)[p : p + len(head)], p))
+    """The truncated multiple harmonic sum mod p; 1 for the empty index: band 1 of the head's table, cut at p."""
+    return int(_band(PartialSumTable.of(k.head(), p, p).values, k[-1], 1, p)) if k else 1
 
 
 @per_prime_cache
@@ -389,18 +396,13 @@ def eval_fmp(k: Index, p: int) -> ModPoly:
 
 
 def eval_zeta_variant(i: int, k: Index, p: int) -> int:
-    """The variant whose last partial sum lies in ((i-1)p, ip): the head's polynomial dotted with a window slice."""
+    """The variant whose last partial sum lies in ((i-1)p, ip): band i of the head's polynomial."""
     r = k.depth
     if r < 1:
         raise ValueError("variant evaluation requires a nonempty index")
     if not 1 <= i <= r:
         raise ValueError(f"variant selector i={i} outside [1, {r}]")
-    head = eval_fmp(k.head(), p).coeffs
-    shift = (i - 2) * p
-    lo, hi = max(0, shift), min(len(head), i * p - 1)
-    if lo >= hi:
-        return 0
-    return int(_dot_mod(head[lo:hi], _inv_window(k[-1], p)[lo - shift : hi - shift], p))
+    return int(_band(eval_fmp(k.head(), p).coeffs, k[-1], i, p))
 
 
 @per_prime_cache

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .evaluate import WALK_BLOCK_BYTES, PrefixTrie, _reduce_chunked, _window_step, walk, zeta_sums
+from .evaluate import PrefixTrie, _reduce_chunked, _walk_block, _window_step, walk, zeta_sums
 from .modular import WORD_MAX, ModPoly, ensure_prime, reduce_mod, word
 from .words import Index
 
@@ -216,19 +216,18 @@ def _fold_depth(plan: _Plan, p: int) -> int:
 
     Memory rule: an m holds its rows, all at once, and one walk block per
     level of its heads' trie, a level-j block being min(nodes, block)
-    tables of j (p - 1) + 1 entries, block as in walk.  Rows and blocks
-    are in the same word, so entries compare as bytes do.  An m is taken
-    only if that is no more than what m = 1 holds at p, so memory never
-    grows with m, and at large p, where the rows dominate, m stays 1.  Ties
-    in stepped entries go to the smaller m.
+    tables of j (p - 1) + 1 entries, block the walk's (_walk_block).  Rows
+    and blocks are in the same word, so entries compare as bytes do.  An m
+    is taken only if that is no more than what m = 1 holds at p, so memory
+    never grows with m, and at large p, where the rows dominate, m stays 1.
+    Ties in stepped entries go to the smaller m.
     """
-    itemsize = word(p).itemsize
 
     def held(m: int) -> int:
         entries = plan.held[m - 1] * p
         for j, n in enumerate(plan.nodes[m - 1]):
             length = j * (p - 1) + 1
-            entries += min(n, max(1, WALK_BLOCK_BYTES // (itemsize * length))) * length
+            entries += min(n, _walk_block(length, p)) * length
         return entries
 
     by_steps = sorted(range(1, len(plan.stepped) + 1), key=lambda m: plan.stepped[m - 1])
@@ -242,20 +241,21 @@ def _step_into_parents(rows: list[np.ndarray], lo: int, parts: np.ndarray, paren
     The rows are word(p) arrays in [0, p), each of its own width; a row of
     width w is stepped to w + p - 1 entries, which its parent must hold,
     and the rows with one parent are adjacent.  The rows are stepped by
-    _window_step in blocks of at most WALK_BLOCK_BYTES of output, stacked
+    _window_step in the walk's blocks (_walk_block) of output, stacked
     only for their block.  A block's rows with one parent are summed in
     the word and added into it, which is then reduced.
 
     Bound, against the maximum M = WORD_MAX of the word: the parent's entry
     and one entry below p from each of the block's rows sum to at most
     (block + 1)(p - 1).  A block of two or more rows has block * p at most
-    WALK_BLOCK_BYTES / itemsize, so that sum is below 2^16 in int32 and
-    2^15 in int64; a block of one row gives 2(p - 1), at most 92,672 in
-    int32 (p <= 46,337) and below 2^32 in int64.  Both are far below M.
+    evaluate's WALK_BLOCK_BYTES / itemsize, so that sum is below 2^16 in
+    int32 and 2^15 in int64; a block of one row gives 2(p - 1), at most
+    92,672 in int32 (p <= 46,337) and below 2^32 in int64.  Both are far
+    below M.
     """
     widths = [len(row) for row in rows[lo:]]
     dtype = rows[lo].dtype
-    block = max(1, WALK_BLOCK_BYTES // (dtype.itemsize * (max(widths) + p - 1)))
+    block = _walk_block(max(widths) + p - 1, p)
     for c in range(0, len(widths), block):
         group, width = rows[lo + c : lo + c + block], max(widths[c : c + block])
         if len(group) == 1:

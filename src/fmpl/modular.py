@@ -20,7 +20,7 @@ powers of a primitive root, which a two-level table builds in about
 reduces coeffs.  Tables that a kernel has already reduced into [0, p) become
 polynomials through `ModPoly._from_reduced`, without a copy or a second
 reduction: the products of `ModPoly.__mul__`, evaluate's eval_fmp and
-eval_fmp_triple, and identities' eval_expression and _accumulate.
+eval_fmp_triple, and fold's eval_expression and _accumulate.
 `ModPoly.text_chunks` gives str() of a polynomial in pieces, which the CLI
 writes one by one.
 
@@ -30,7 +30,7 @@ is exact: int32 while (p - 1)^2 <= 2^31 - 1, that is for p <= 46,337, and
 int64 above.  Each kernel writes its bound once, against the maximum of its
 table's type (WORD_MAX): where a sum or product could pass it, the kernel
 reduces first (evaluate's _window_step), sums in int64 (_dot_mod,
-ModPoly.evaluate, mul_mod's np.convolve) or counts its adds (identities'
+ModPoly.evaluate, mul_mod's np.convolve) or counts its adds (fold's
 _fold).  Narrower words halve the memory traffic: on a 2-core x86-64
 machine with numpy 2.4, reduce_mod took 0.50 ns per element in int32 and
 1.2-1.3 ns in int64 at p = 7919 and 15013, and a product 0.14 ns against
@@ -525,21 +525,16 @@ class ModPoly:
         if self.p != other.p:
             raise ValueError(f"modulus mismatch: {self.p} != {other.p}")
 
-    def __add__(self, other: "ModPoly") -> "ModPoly":
+    def __add__(self, other: "ModPoly", sign: int = 1) -> "ModPoly":
+        """self + sign * other; __sub__ is sign -1."""
         self._require_same_modulus(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = np.zeros(n, dtype=np.int64)
+        out = np.zeros(max(len(self.coeffs), len(other.coeffs)), dtype=np.int64)
         out[: len(self.coeffs)] += self.coeffs
-        out[: len(other.coeffs)] += other.coeffs
+        out[: len(other.coeffs)] += sign * other.coeffs
         return ModPoly(self.p, out)
 
     def __sub__(self, other: "ModPoly") -> "ModPoly":
-        self._require_same_modulus(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = np.zeros(n, dtype=np.int64)
-        out[: len(self.coeffs)] += self.coeffs
-        out[: len(other.coeffs)] -= other.coeffs
-        return ModPoly(self.p, out)
+        return self.__add__(other, -1)
 
     def __mul__(self, other: "ModPoly") -> "ModPoly":
         self._require_same_modulus(other)

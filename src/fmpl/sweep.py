@@ -287,6 +287,7 @@ def run_sweep(
     report = SweepReport(check, echo_params(params), prime_from, prime_to)
     start = time.monotonic()
     outcomes: dict[int, PrimeOutcome] = {}
+    interrupted = False
     try:
         if workers <= 1:
             for p in primes:
@@ -305,13 +306,13 @@ def run_sweep(
                     _stop_workers(pool)
                     raise
     except KeyboardInterrupt:
+        interrupted = True
         for p in primes:
             outcomes.setdefault(p, PrimeOutcome(p, SKIP, "interrupted"))
-        report.results = [outcomes[p] for p in primes]
-        report.duration_ms = int((time.monotonic() - start) * 1000)
-        raise SweepInterrupted(report) from None
     report.results = [outcomes[p] for p in primes]
     report.duration_ms = int((time.monotonic() - start) * 1000)
+    if interrupted:
+        raise SweepInterrupted(report)
     return report
 
 

@@ -435,6 +435,30 @@ def test_eval_zeta_variant_argument_errors():
         eval_zeta_variant(3, I(1, 1), 5)
 
 
+@pytest.mark.parametrize("p", (5, 13, 1009) + EDGE_PRIMES)
+def test_each_band_is_its_coefficient_sum(p):
+    # band i of k is the sum of li_k's coefficients at (i - 1)p <= e < ip,
+    # its definition, with no window; zeta is band 1
+    pool = indices_up_to(6 if p < 46337 else 5, max_depth=4, include_empty=False)
+    for k in pool:
+        coeffs = eval_fmp(k, p).coeffs.astype(np.int64)
+        bands = [int(coeffs[(i - 1) * p : i * p].sum()) % p for i in range(1, k.depth + 1)]
+        assert [eval_zeta_variant(i, k, p) for i in range(1, k.depth + 1)] == bands, k
+        assert eval_zeta(k, p) == bands[0], k
+    trie = PrefixTrie(pool)
+    assert zeta_sums(trie, p).tolist() == [eval_zeta(k, p) for k in trie.indices]
+
+
+@pytest.mark.parametrize("p", (2, 13, 1009, 46349))
+def test_depth_1_zeta_values_build_no_window(monkeypatch, p):
+    # the empty head's band 1 is w_b(p), the sum of inv^b, read without w_b
+    for values in (lambda ks: zeta_sums(PrefixTrie(ks), p).tolist(), lambda ks: [eval_zeta(k, p) for k in ks]):
+        monkeypatch.setattr(modular, "_TABLES", modular._PrimeTables())
+        ks = [I(b) for b in range(1, 6)]
+        assert values(ks) == [sum(pow(n, -b, p) for n in range(1, p)) % p for b in range(1, 6)]
+        assert "_inv_window" not in {key[0].__name__ for key in modular._TABLES.entries}
+
+
 def test_eval_fmp_triple_reductions():
     lam, nu = I(2, 1), I(1)
     for p in (5, 7, 11, 1009):

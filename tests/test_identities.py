@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import EDGE_PRIMES, eval_expression_per_term, index_pairs_up_to, indices_up_to, pfd_exhaustive, reversed_shuffle
-from fmpl import fold, identities, modular
-from fmpl.evaluate import WALK_BLOCK_BYTES, eval_fmp, eval_zeta
+from fmpl import evaluate, fold, identities, modular
+from fmpl.evaluate import WALK_BLOCK_BYTES, eval_fmp, eval_zeta, walk
 from fmpl.fold import _accumulate, _fold, _fold_depth, _plan, _step_into_parents
 from fmpl.identities import (
     CorrectionExpression,
@@ -325,6 +325,42 @@ def test_fold_depth_follows_the_stepped_entries_within_m_1s_memory():
     # (2,1) x (3) ties at m = 1 and m = 2, and a tie goes to the smaller m
     assert w6.stepped[0] == w6.stepped[1] < w6.stepped[2]
     assert {_fold_depth(w6, p) for p in primes_in_range(2, 2000) + list(EDGE_PRIMES) + [100003, 2**31 - 1]} == {1}
+
+
+@pytest.mark.parametrize("p", (199, 1009, 46349))
+def test_fold_depth_counts_the_largest_block_the_walk_steps(monkeypatch, p):
+    # _fold_depth's memory rule counts min(nodes, block) tables at each
+    # level j >= 2 of the heads' trie; the walk steps no larger block, and a
+    # full one where a level has more nodes than a block holds
+    expr = shuffle_correction(I(2, 1, 2, 1), I(3, 1, 2))
+    largest = {}  # level: the most rows of one step that makes its tables
+
+    def recorded(step):
+        def record(*args, **kwargs):
+            out = step(*args, **kwargs)
+            level = (out.shape[1] - 1) // (p - 1)
+            largest[level] = max(largest.get(level, 0), len(out))
+            return out
+
+        return record
+
+    for name in ("_stage_two", "_window_step"):
+        monkeypatch.setattr(evaluate, name, recorded(getattr(evaluate, name)))
+    full = 0
+    for m in (1, 2, 3):
+        trie, _ = fold._heads(expr, m)
+        nodes = _plan(expr).nodes[m - 1]
+        assert [len(trie.leaf[j]) if j <= trie.depth else 0 for j in range(2, len(nodes))] == list(nodes[2:])
+        largest.clear()
+        for _ in walk(trie, p):
+            pass
+        for j in range(2, len(nodes)):
+            block = evaluate._walk_block(j * (p - 1) + 1, p)
+            assert largest.get(j, 0) <= min(nodes[j], block), (m, j)
+            if nodes[j] > block:
+                assert largest[j] == block, (m, j)
+                full += 1
+    assert full > 0
 
 
 @pytest.mark.parametrize("p,bound_mb", [(199, 0.6), (100003, 37.6)])

@@ -1,5 +1,6 @@
-"""Every module of fmpl but the package's __init__ uses each name it imports, and
-only the symbolic modules name the unchecked Index constructor."""
+"""Every module of fmpl but the package's __init__ uses each name it imports,
+only the symbolic modules name the unchecked Index constructor, and only
+evaluate names the window and walk-block rules."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import fmpl
 
 PACKAGE = Path(fmpl.__file__).parent
+ALL_MODULES = sorted(str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*.py"))
 MODULES = sorted(str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*.py") if path.name != "__init__.py")
 # The modules that build indices from the parts of indices already checked
 UNCHECKED_INDEX_MODULES = ("identities.py", "surjections.py", "words.py")
@@ -62,10 +64,18 @@ def _names(source: str) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("module", sorted(str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*.py")))
+@pytest.mark.parametrize("module", ALL_MODULES)
 def test_only_the_symbolic_modules_name_the_unchecked_index(module):
     named = "_unchecked_index" in _names((PACKAGE / module).read_text(encoding="utf-8"))
     assert not named or module in UNCHECKED_INDEX_MODULES
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_only_evaluate_names_the_window_and_the_walk_block(module):
+    # the window w_b and the walk's block size are each written once, in
+    # evaluate (_inv_window, _walk_block); other modules call them
+    named = {"_inv_window", "WALK_BLOCK_BYTES"} & _names((PACKAGE / module).read_text(encoding="utf-8"))
+    assert not named or module == "evaluate.py"
 
 
 def test_the_name_scan_sees_imports_attributes_and_definitions():
