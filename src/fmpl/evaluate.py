@@ -459,9 +459,9 @@ def brute_force_fmp(k: Index, p: int) -> ModPoly:
 
 def brute_force_zeta_variant(i: int, k: Index, p: int) -> int:
     """Literal nested-loop evaluation of the i-th variant: li_k's coefficients at (i-1)p <= e < ip."""
-    coeffs = brute_force_fmp(k, p).coeffs
     if not 1 <= i <= k.depth:
         raise ValueError(f"variant selector i={i} outside [1, {k.depth}]")
+    coeffs = brute_force_fmp(k, p).coeffs
     return int(coeffs[(i - 1) * p : i * p].sum() % p)
 
 

@@ -9,19 +9,15 @@ strictly increasing residue tuple, a plain tuple of ints indexed through
 phi, and the pairing is a bijection realized here by f_map / g_map.  Both
 check their input once and call the unchecked _f / _g, which the
 exhaustive bijection_roundtrip calls directly on the tuples it grows.
-On a 2-core x86-64 machine, in fresh interpreters, enumerate_phi(8) takes
-0.8-1.0 s (2.5-3.3 s while each map was a self-validating dataclass) and
-bijection_roundtrip(3, 101) 6.8-7.8 s (19.7-27.8 s).
 
 The zeta variant of k whose last partial sum lies in ((i-1)p, ip) expands
 into one term per map of class i: k with the parts that the map sends to
-one value summed (variant_expansion).  One pass grows the maps of every
-class, keeping only these grouped parts and the descent count.
+one value summed (variant_expansion).  The maps grow by one rule, _moves;
+enumerate_phi lists them by it and _expansions counts them by it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb
@@ -43,25 +39,32 @@ def descents(phi: Sequence[int]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_phi(r: int) -> tuple[tuple[int, ...], ...]:
-    """All level maps of domain size r, ordered by s then lexicographically.
+def _moves(used: int, last: int) -> tuple[tuple[int, bool, bool], ...]:
+    """The next steps of a level map, as (rank t, new value?, descent?).
 
-    The maps grow position by position: the next position either repeats a
-    used value other than the last position's, or takes a new value v, and
-    every used value >= v moves up by one.  Each map arises exactly once,
-    and a new value never changes the order of the used ones, so a descent
-    at the new position is decided when it is added.
+    The map uses ranks 0, ..., used - 1 and its last position has rank last
+    (-1 before the first).  The next position repeats the used value of rank
+    t != last, a descent iff t < last, or takes a new value at rank t, moving
+    each used rank >= t up: a descent iff t <= last.  Each map arises once,
+    and a new value keeps the used ones' order, so each descent is final.
     """
+    repeats = tuple((t, False, t < last) for t in range(used) if t != last)
+    return repeats + tuple((t, True, t <= last) for t in range(used + 1))
+
+
+@lru_cache(maxsize=None)
+def enumerate_phi(r: int) -> tuple[tuple[int, ...], ...]:
+    """All level maps of domain size r, grown through _moves (value v has
+    rank v - 1), ordered by s then lexicographically."""
     if not 1 <= r <= MAX_R:
         raise ValueError(f"r={r} outside supported range [1, {MAX_R}]")
     maps = [(1,)]
     for _ in range(r - 1):
-        grown = []
-        for vals in maps:
-            s = max(vals)
-            grown.extend(vals + (v,) for v in range(1, s + 1) if v != vals[-1])
-            grown.extend(tuple(u + (u >= v) for u in vals) + (v,) for v in range(1, s + 2))
-        maps = grown
+        maps = [
+            tuple([u + (u > t) for u in vals]) + (t + 1,) if new else vals + (t + 1,)
+            for vals in maps
+            for t, new, _ in _moves(max(vals), vals[-1] - 1)
+        ]
     maps.sort(key=lambda vals: (max(vals), vals))
     return tuple(maps)
 
@@ -119,38 +122,34 @@ def g_map(phi: Sequence[int], A: Sequence[int], p: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _expansions(k: Index) -> tuple[FormalSum, ...]:
-    """variant_expansion(i, k) for i = 1, ..., dep(k), from one pass.
+    """variant_expansion(i, k) for i = 1, ..., dep(k), by counting maps.
 
-    The maps grow as in enumerate_phi, depth first: groups holds k's parts
-    summed per used value, in the values' order; last is the previous rank."""
-    counts = [Counter() for _ in k]  # indexed by descents = beta - 1
-    groups: list[int] = []
-
-    def grow(j: int, last: int, descents: int):
-        if j == len(k):
-            counts[descents][tuple(groups)] += 1
-            return
-        for t in range(len(groups)):  # used value t: a descent iff t < last
-            if t != last:
-                groups[t] += k[j]
-                grow(j + 1, t, descents + (t < last))
-                groups[t] -= k[j]
-        for t in range(len(groups) + 1):  # new value at rank t: iff t <= last
-            groups.insert(t, k[j])
-            grow(j + 1, t, descents + (t <= last))
-            del groups[t]
-
-    grow(0, -1, 0)
-    return tuple(FormalSum((_unchecked_index(parts), n) for parts, n in c.items()) for c in counts)
+    The maps grow part by part through _moves.  The maps that share grouped
+    parts (k's parts summed per used value, in the values' order), last rank
+    and descents grow alike, so each such state keeps only their number.
+    """
+    states = {((), -1, 0): 1}
+    for part in k:
+        grown: dict[tuple[tuple[int, ...], int, int], int] = {}
+        for (groups, last, descents), n in states.items():
+            for t, new, descent in _moves(len(groups), last):
+                grouped = groups[:t] + (part if new else groups[t] + part,) + groups[t + (not new) :]
+                state = (grouped, t, descents + descent)
+                grown[state] = grown.get(state, 0) + n
+        states = grown
+    classes: list[list[tuple[Index, int]]] = [[] for _ in k]  # indexed by descents = beta - 1
+    for (groups, _, descents), n in states.items():
+        classes[descents].append((_unchecked_index(groups), n))
+    return tuple(map(FormalSum, classes))
 
 
 def variant_expansion(i: int, k: Index) -> FormalSum:
     """Expand the i-th zeta variant of k into ordinary zeta arguments.
 
     One unit term per level map in the beta class i of size dep(k), with
-    the index collapsed along the map.  Every resulting index keeps the
-    weight of k.  The expansion does not depend on p and FormalSum is
-    immutable, so all classes of k are computed once, cached by k.
+    the index collapsed along the map; _expansions counts the maps instead
+    of visiting them.  Every resulting index keeps the weight of k.  As it
+    does not depend on p and FormalSum is immutable, all classes are cached by k.
     """
     r = k.depth
     if not 1 <= r <= MAX_R:

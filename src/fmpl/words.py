@@ -6,9 +6,10 @@ words in the letters x, y that are empty or end in y: the index
 reads k_1 first (the outermost letter).  The evaluators orient the other
 way: li and zeta put k_1 on the innermost partial sum L_1, so the shuffle
 that governs li_k * li_k' is rev(shuffle(rev k, rev k')).  The
-shuffle product is computed on words by the interleaving recursion and
-converted back to indices; the stuffle product is computed directly on
-indices by the quasi-shuffle recursion with the extra merge term.
+shuffle product is computed on words and converted back to indices; the
+stuffle product is computed directly on indices, with the extra merge
+term.  Both fill the rows of suffix pairs bottom up, so neither recurses,
+and both are cached by their operands, as a FormalSum is immutable.
 
 An Index is a tuple, so comparing, sorting and hashing indices run as
 tuple operations.  Formal sums have int coefficients (every product here
@@ -18,10 +19,9 @@ that equality and serialization are deterministic.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from operator import index
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 
 class Index(tuple):
@@ -196,44 +196,40 @@ class FormalSum:
         return f"FormalSum({self})"
 
 
+def _suffix_rows(a: Sequence, b: Sequence, letter: Callable, merge: bool) -> dict:
+    """The products of a and b as {word: multiplicity}; letter(x) is a one-letter word.
+
+    Row i holds the products of a[i:] with each suffix b[j:], built bottom
+    up from the row below: a product begins with a's first letter, b's, or
+    (with merge) the two merged.  Each word is hashed once, as it is built,
+    and the smaller groups are added into the largest.
+    """
+    below = [{b[j:]: 1} for j in range(len(b) + 1)]
+    for x in reversed(a):
+        row = [{letter(x) + w: c for w, c in below[-1].items()}]
+        for j in reversed(range(len(b))):
+            heads = [(letter(x), below[j]), (letter(b[j]), row[-1])]
+            if merge:
+                heads.append((letter(x + b[j]), below[j + 1]))
+            groups = sorted(({head + w: c for w, c in terms.items()} for head, terms in heads), key=len)
+            cell = groups.pop()
+            for group in groups:
+                for w, c in group.items():
+                    cell[w] = cell.get(w, 0) + c
+            row.append(cell)
+        below = row[::-1]
+    return below[0]
+
+
 @lru_cache(maxsize=None)
-def _shuffle_words(u: str, v: str) -> tuple[tuple[str, int], ...]:
-    if not u:
-        return ((v, 1),)
-    if not v:
-        return ((u, 1),)
-    acc: Counter[str] = Counter()
-    for w, c in _shuffle_words(u[1:], v):
-        acc[u[0] + w] += c
-    for w, c in _shuffle_words(u, v[1:]):
-        acc[v[0] + w] += c
-    return tuple(sorted(acc.items()))
-
-
 def shuffle(k: Index, kp: Index) -> FormalSum:
     """Shuffle product of two indices as a formal sum of indices."""
-    acc: Counter[Index] = Counter()
-    for w, c in _shuffle_words(index_to_word(k), index_to_word(kp)):
-        acc[word_to_index(w)] += c
-    return FormalSum(acc)
+    words = _suffix_rows(index_to_word(k), index_to_word(kp), str, False)
+    return FormalSum((word_to_index(w), c) for w, c in words.items())
 
 
 @lru_cache(maxsize=None)
-def _stuffle_parts(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    if not a:
-        return ((b, 1),)
-    if not b:
-        return ((a, 1),)
-    acc: Counter[tuple[int, ...]] = Counter()
-    for t, c in _stuffle_parts(a[1:], b):
-        acc[(a[0],) + t] += c
-    for t, c in _stuffle_parts(a, b[1:]):
-        acc[(b[0],) + t] += c
-    for t, c in _stuffle_parts(a[1:], b[1:]):
-        acc[(a[0] + b[0],) + t] += c
-    return tuple(sorted(acc.items()))
-
-
 def stuffle(k: Index, kp: Index) -> FormalSum:
     """Stuffle (quasi-shuffle) product of two indices."""
-    return FormalSum([(Index(t), c) for t, c in _stuffle_parts(k, kp)])
+    parts = _suffix_rows(k, kp, lambda part: (part,), True)
+    return FormalSum((_unchecked_index(t), c) for t, c in parts.items())

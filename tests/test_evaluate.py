@@ -498,6 +498,16 @@ def test_brute_force_domain_caps():
         brute_force_fmp_triple(I(1, 1), I(1, 1), I(1), 5)
 
 
+def test_brute_force_variant_checks_its_selector_before_the_loops(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the literal loops ran before the selector was checked")
+
+    monkeypatch.setattr(evaluate, "_literal_coefficients", refused)
+    for i in (0, 5):
+        with pytest.raises(ValueError, match="selector"):
+            brute_force_zeta_variant(i, I(1, 1, 1, 1), 31)
+
+
 def test_brute_force_examples():
     assert brute_force_fmp(I(1), 3) == ModPoly(3, [0, 1, 2])
     assert brute_force_fmp(I(1, 1), 3) == ModPoly(3, [0, 0, 2, 0, 2])

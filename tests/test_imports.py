@@ -1,6 +1,7 @@
 """Every module of fmpl but the package's __init__ uses each name it imports,
-only the symbolic modules name the unchecked Index constructor, and only
-evaluate names the window and walk-block rules."""
+only the symbolic modules name the unchecked Index constructor, only
+evaluate names the window and walk-block rules, and only surjections._moves
+states the rule by which a level map grows."""
 
 import ast
 from pathlib import Path
@@ -86,3 +87,46 @@ def test_the_name_scan_sees_imports_attributes_and_definitions():
         "def head(): pass\n"
     )
     assert {"_unchecked_index", "make", "fmpl", "words", "star", "head"} <= _names(source)
+
+
+def _functions(source: str) -> dict[str, ast.FunctionDef]:
+    """The module's top-level functions by name."""
+    return {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+
+
+def _compares_with_last(function: ast.FunctionDef) -> bool:
+    """Whether the function, nested code included, compares anything with the name last."""
+    return any(
+        isinstance(node, ast.Compare) and any(isinstance(n, ast.Name) and n.id == "last" for n in ast.walk(node))
+        for node in ast.walk(function)
+    )
+
+
+def _called(function: ast.FunctionDef) -> set[str]:
+    """The names that the function calls."""
+    return {n.func.id for n in ast.walk(function) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+
+def test_only_moves_states_the_growth_rule():
+    # a level map's next rank is compared with the last rank in _moves alone;
+    # both the enumeration and the counted expansions grow through it
+    functions = _functions((PACKAGE / "surjections.py").read_text(encoding="utf-8"))
+    assert {name for name, function in functions.items() if _compares_with_last(function)} == {"_moves"}
+    assert "_moves" in _called(functions["enumerate_phi"]) & _called(functions["_expansions"])
+    expansions = functions["_expansions"]
+    nested = [n for n in ast.walk(expansions) if isinstance(n, (ast.FunctionDef, ast.Lambda)) and n is not expansions]
+    assert nested == [] and "_expansions" not in _called(expansions)
+
+
+def test_the_rule_scan_sees_nested_compares_and_calls():
+    source = (
+        "def grow(k, last):\n"
+        "    def step(t):\n"
+        "        return t < last\n"
+        "    return step(k)\n"
+        "def count(k):\n"
+        "    return grow(k, 0) + (k > 1)\n"
+    )
+    functions = _functions(source)
+    assert [_compares_with_last(f) for f in functions.values()] == [True, False]
+    assert _called(functions["grow"]) == {"step"} and _called(functions["count"]) == {"grow"}

@@ -259,6 +259,21 @@ def test_class_sizes_match_the_inclusion_exclusion_count():
         assert sum(c for i in range(1, r + 1) for _, c in variant_expansion(i, k)) == size, r
 
 
+@pytest.mark.parametrize("k", [I(*(1,) * 9), I(*(1,) * 10), I(*(2, 1) * 5)], ids=["(1)^9", "(1)^10", "(2,1)^5"])
+def test_expansions_count_every_map_past_max_r(k):
+    # variant_expansion stops at MAX_R; the counting underneath does not.
+    # Summed over the classes, the maps number sum_s |Phi_{r,s}| by the
+    # inclusion-exclusion count of count_x_tuples' docstring.
+    r = k.depth
+    assert r > MAX_R
+    size = sum((-1) ** j * comb(s, j) * (s - j) * (s - j - 1) ** (r - 1) for s in range(1, r + 1) for j in range(s + 1))
+    assert {9: 3816548, 10: 54667412}[r] == size
+    classes = surjections._expansions(k)
+    assert len(classes) == r
+    assert sum(c for expansion in classes for _, c in expansion) == size
+    assert all(index.weight == k.weight for expansion in classes for index, _ in expansion)
+
+
 def test_variant_expansion_band_one_is_identity():
     for k in indices_up_to(4, include_empty=False):
         assert variant_expansion(1, k) == FormalSum.single(k)

@@ -233,6 +233,21 @@ def test_shuffle_matches_interleaving_oracle():
             assert shuffle(a, b) == brute_shuffle(index_to_word(a), index_to_word(b)), (a, b)
 
 
+def test_shuffle_of_a_long_word_does_not_recurse():
+    # (2000) is the word x^1999 y.  The y of (1) after i < 1999 x's gives
+    # (i + 1, 2000 - i); after all 1,999 it goes on either side of the
+    # other y, which gives (2000, 1) twice
+    expected = FormalSum([(I(i + 1, 2000 - i), 1) for i in range(1999)] + [(I(2000, 1), 2)])
+    assert shuffle(I(2000), I(1)) == expected
+
+
+def test_stuffle_of_a_long_index_does_not_recurse():
+    # (1) goes into one of 1,001 slots, or merges with one of 1,000 parts
+    ones = (1,) * 1000
+    merged = [(Index(ones[:i] + (2,) + ones[i + 1 :]), 1) for i in range(1000)]
+    assert stuffle(Index(ones), I(1)) == FormalSum([(Index(ones + (1,)), 1001)] + merged)
+
+
 def test_stuffle_matches_covering_maps_oracle():
     for a in indices_up_to(4):
         for b in indices_up_to(4):
